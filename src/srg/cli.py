@@ -27,6 +27,7 @@ from .netio import (
     example_network_text,
     export_dot,
     format_state,
+    format_transitions,
     parse_network,
     parse_phenotype,
     parse_state,
@@ -54,7 +55,7 @@ def _load_network(source: str):
     raise ParseError(f"no such network file or bundled example: {source!r}")
 
 
-def _emit(args, report):
+def _emit(report):
     print(render_report(report), end="")
 
 
@@ -69,7 +70,7 @@ def _cmd_step(args):
         current = step(graph, current)
         states.append(current)
     if args.json:
-        _emit(args, analysis_report("step", graph, {
+        _emit(analysis_report("step", graph, {
             "start": state_json(state),
             "states": [state_json(s) for s in states],
         }))
@@ -84,7 +85,7 @@ def _cmd_simulate(args):
     state = parse_state(args.state, graph)
     trajectory = simulate(graph, state, max_steps=args.max_steps)
     if args.json:
-        _emit(args, analysis_report("simulate", graph, trajectory_json(trajectory)))
+        _emit(analysis_report("simulate", graph, trajectory_json(trajectory)))
         return EXIT_OK
     print("transient:")
     for s in trajectory.transient:
@@ -99,7 +100,7 @@ def _cmd_attractors(args):
     graph = _load_network(args.network)
     attractors = enumerate_attractors(graph, state_limit=args.limit)
     if args.json:
-        _emit(args, analysis_report("attractors", graph, {
+        _emit(analysis_report("attractors", graph, {
             "count": len(attractors),
             "attractors": [attractor_json(a) for a in attractors],
         }))
@@ -118,8 +119,7 @@ def _cmd_sts(args):
     if args.dot:
         print(export_dot(system), end="")
     else:
-        for s, t in system.transitions():
-            print(f"{format_state(s)} -> {format_state(t)}")
+        print(format_transitions(system), end="")
     return EXIT_OK
 
 
@@ -143,7 +143,7 @@ def _cmd_phenotype_check(args):
     if args.mode == "oracle":
         matches = attractors_with_phenotype(graph, phenotype, state_limit=args.limit)
         if args.json:
-            _emit(args, analysis_report("phenotype-check", graph, {
+            _emit(analysis_report("phenotype-check", graph, {
                 "mode": "oracle",
                 "admissible": bool(matches),
                 "attractors": [attractor_json(a) for a in matches],
@@ -157,7 +157,7 @@ def _cmd_phenotype_check(args):
         return EXIT_OK if matches else EXIT_EMPTY
     decision = decide_phenotype(graph, phenotype, mode=args.mode)
     if args.json:
-        _emit(args, analysis_report("phenotype-check", graph, decision_json(decision)))
+        _emit(analysis_report("phenotype-check", graph, decision_json(decision)))
         return EXIT_OK if decision.admissible else EXIT_EMPTY
     print("admissible" if decision.admissible else "inadmissible")
     for v in decision.violations:
@@ -175,7 +175,7 @@ def _cmd_phenotype_witness(args):
     phenotype = parse_phenotype(args.target)
     witness = phenotype_witness(graph, phenotype, completion=_COMPLETIONS[args.completion])
     if args.json:
-        _emit(args, analysis_report("phenotype-witness", graph, witness_json(witness)))
+        _emit(analysis_report("phenotype-witness", graph, witness_json(witness)))
         return EXIT_OK if witness.admissible else EXIT_EMPTY
     if not witness.admissible:
         print(f"inadmissible: marking conflict at {witness.marking.conflict}")
@@ -202,12 +202,11 @@ def _cmd_encode_bn(args):
 
 def _cmd_verify_bn(args):
     graph = _load_network(args.network)
-    samples = None if args.samples is None else args.samples
     report = check_simulation_equivalence(
-        graph, samples=samples, state_limit=args.limit, seed=args.seed
+        graph, samples=args.samples, state_limit=args.limit, seed=args.seed
     )
     if args.json:
-        _emit(args, analysis_report("verify-bn", graph, equivalence_json(report)))
+        _emit(analysis_report("verify-bn", graph, equivalence_json(report)))
         return EXIT_OK if report.ok else EXIT_EMPTY
     if report.ok:
         print(f"ok: {report.states_checked} states agree, no invalid codes")

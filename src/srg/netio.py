@@ -15,6 +15,7 @@ by every state literal.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from importlib import resources
@@ -196,13 +197,25 @@ def _graph_dot(graph):
     return "\n".join(lines) + "\n"
 
 
+def _state_labels(sts):
+    """Every state's tuple literal, indexed by code."""
+    digits = [tuple(str(v) for v in domain) for domain in sts.domains]
+    return ["(" + ",".join(p) + ")" for p in itertools.product(*digits)]
+
+
 def _sts_dot(sts):
+    labels = _state_labels(sts)
     lines = ["digraph state_transitions {"]
-    for s in sts.states:
-        lines.append(f'  "{s!r}";')
-    for s in sts.states:
-        lines.append(f'  "{s!r}" -> "{sts.successor[s]!r}";')
+    lines += [f'  "{label}";' for label in labels]
+    lines += [f'  "{label}" -> "{labels[k]}";' for label, k in zip(labels, sts.successor.tolist())]
     lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def format_transitions(sts: TransitionSystem) -> str:
+    """One "state -> successor" line per state, in canonical order."""
+    labels = _state_labels(sts)
+    lines = [f"{label} -> {labels[k]}" for label, k in zip(labels, sts.successor.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .core import RegulatoryGraph, TernaryState
 from .dynamics import DEFAULT_STATE_LIMIT, Attractor, enumerate_attractors, simulate
-from .errors import UnsupportedGraphError
+from .errors import SRGError, UnsupportedGraphError
 
 log = logging.getLogger(__name__)
 
@@ -282,10 +282,8 @@ def phenotype_witness(graph: RegulatoryGraph, phenotype: Phenotype, completion=-
         marked.get(i, fill[i]) for i in range(graph.n)
     )
     attractor = simulate(graph, start).attractor()
-    for s in attractor.states:
-        assert all(s[i] == v for i, v in required.items()), (
-            "witness attractor dropped the phenotype; marking closure is broken"
-        )
+    if not all(s[i] == v for s in attractor.states for i, v in required.items()):
+        raise SRGError("witness attractor dropped the phenotype; marking closure is broken")
     return Witness(admissible=True, marking=marking, start=start, attractor=attractor)
 
 

@@ -2,7 +2,7 @@
 
 import itertools
 
-from srg import Phenotype, RegulatoryGraph, TernaryState, simulate
+from srg import Phenotype, RegulatoryGraph, TernaryState, simulate, step
 
 
 def clamp_consistent_states(graph):
@@ -24,6 +24,21 @@ def brute_force_attractors(graph):
         attractor = simulate(graph, state).attractor()
         found[attractor.states] = attractor
     return sorted(found.values(), key=lambda a: a.states[0])
+
+
+def reference_sts_text(graph):
+    """`srg sts` text rendered from the scalar step, independent of the kernel."""
+    return "".join(f"{s!r} -> {step(graph, s)!r}\n" for s in clamp_consistent_states(graph))
+
+
+def reference_sts_dot(graph):
+    """DOT of the transition system rendered from the scalar step."""
+    states = list(clamp_consistent_states(graph))
+    lines = ["digraph state_transitions {"]
+    lines += [f'  "{s!r}";' for s in states]
+    lines += [f'  "{s!r}" -> "{step(graph, s)!r}";' for s in states]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def random_graph(rng, n=None, density=0.2, clamp_chance=0.0):

@@ -1,11 +1,14 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import random
 
 import pytest
 
 from srg import load_example, serialize_network
 from srg.cli import main
+
+from helpers import random_graph, reference_sts_dot, reference_sts_text
 
 
 @pytest.fixture()
@@ -108,6 +111,18 @@ class TestGraphAndSts:
         code, out, _ = run(capsys, "sts", "fig1a")
         assert code == 0
         assert "(-1,1,1) -> (0,1,1)" in out
+
+    def test_sts_output_matches_scalar_reference(self, capsys, tmp_path):
+        rng = random.Random(212)
+        graphs = {name: load_example(name) for name in ("fig1a", "fig1b", "mapk")}
+        for k in range(10):
+            path = tmp_path / f"random{k}.srg"
+            graph = random_graph(rng, density=0.3, clamp_chance=0.25)
+            path.write_text(serialize_network(graph))
+            graphs[str(path)] = graph
+        for source, graph in graphs.items():
+            assert run(capsys, "sts", source) == (0, reference_sts_text(graph), "")
+            assert run(capsys, "sts", source, "--dot") == (0, reference_sts_dot(graph), "")
 
 
 class TestPhenotypeCommands:

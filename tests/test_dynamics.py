@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from srg import (
@@ -17,7 +18,9 @@ from srg import (
     is_trap_set,
     simulate,
     step,
+    update_vertex,
 )
+from srg.dynamics import _code_dtype, _peel
 
 from helpers import brute_force_attractors, clamp_consistent_states, random_graph
 
@@ -183,6 +186,90 @@ class TestEnumerateAttractors:
         assert "729" in str(err.value)
 
 
+def kernel_corpus():
+    """60 small random graphs, a third each at clamp chance 0, 0.25 and 0.6."""
+    rng = random.Random(101)
+    return [
+        random_graph(rng, n=rng.randint(1, 7), density=rng.choice((0.1, 0.3, 0.5)),
+                     clamp_chance=clamp_chance)
+        for clamp_chance in (0.0, 0.25, 0.6)
+        for _ in range(20)
+    ]
+
+
+def edge_case_graphs():
+    """Graphs with no free vertex, one vertex, or only clamped regulators."""
+    graphs = [
+        RegulatoryGraph(["A", "B"], [("A", "B")], [("B", "A")], {"A": 1, "B": -1}),
+        RegulatoryGraph(["X"], [("X", "X")]),
+        RegulatoryGraph(["X"], [], [("X", "X")]),
+    ]
+    # C's regulators are all clamped, so its flags are scalars, not columns.
+    for a in (-1, 1):
+        graphs.append(RegulatoryGraph(["A", "C"], [], [("A", "C")], {"A": a}))
+        for b in (-1, 1):
+            graphs.append(RegulatoryGraph(
+                ["A", "B", "C", "D"], [("A", "C"), ("C", "D")], [("B", "C"), ("D", "D")],
+                {"A": a, "B": b},
+            ))
+    return graphs
+
+
+def chain(n):
+    names = [f"v{i}" for i in range(n)]
+    return RegulatoryGraph(names, list(zip(names, names[1:])))
+
+
+def chain_fixed_points(graph):
+    """Fixed points of an activation chain, built vertex by vertex.
+
+    A vertex of a chain reads only itself and its predecessor, so a prefix
+    extends by the values the scalar rule keeps; -1 pads the unread tail.
+    """
+    prefixes = [()]
+    for i in range(graph.n):
+        prefixes = [
+            p + (v,) for p in prefixes for v in (-1, 0, 1)
+            if update_vertex(graph, p + (v,) + (-1,) * (graph.n - i - 1), i) == v
+        ]
+    return [Attractor((TernaryState(p),)) for p in prefixes]
+
+
+class TestKernel:
+    def test_successor_codes_match_scalar_step(self):
+        for graph in kernel_corpus() + edge_case_graphs():
+            states = list(clamp_consistent_states(graph))
+            succ = build_sts(graph).successor
+            assert len(succ) == len(states)
+            for state, k in zip(states, succ.tolist()):
+                assert states[k] == step(graph, state)
+
+    def test_attractors_match_oracle(self):
+        for graph in kernel_corpus() + edge_case_graphs():
+            assert enumerate_attractors(graph) == brute_force_attractors(graph)
+
+    def test_fully_clamped_graph_has_one_state(self):
+        graph = edge_case_graphs()[0]
+        assert len(build_sts(graph)) == 1
+        assert [a.states for a in enumerate_attractors(graph)] == [((1, -1),)]
+
+    def test_activation_chain_peels_one_round_per_transient_step(self):
+        # Feed-forward, so every attractor is a fixed point; the longest
+        # transient carries v0 = 1 down all 13 edges.
+        graph = chain(14)
+        _, rounds = _peel(build_sts(graph).successor)
+        assert rounds == 13
+        assert enumerate_attractors(graph) == chain_fixed_points(graph)
+
+    def test_chain_oracle_agrees_with_brute_force(self):
+        graph = chain(6)
+        assert chain_fixed_points(graph) == brute_force_attractors(graph)
+
+    def test_code_dtype(self):
+        assert _code_dtype(3 ** 19) is np.int32
+        assert _code_dtype(3 ** 20) is np.int64
+
+
 class TestStateEnumeration:
     def test_canonical_order(self, fig1a):
         states = enumerate_states(fig1a)
@@ -194,6 +281,10 @@ class TestStateEnumeration:
         states = enumerate_states(mapk)
         assert len(states) == 729
         assert all(s[0] == -1 for s in states)
+
+    def test_matches_reference_walk(self, fig1a, fig1b, mapk):
+        for graph in [fig1a, fig1b, mapk] + kernel_corpus() + edge_case_graphs():
+            assert enumerate_states(graph) == list(clamp_consistent_states(graph))
 
 
 class TestTransitionSystem:

@@ -40,7 +40,7 @@ from srg import (
     phenotype_witness,
 )
 
-from helpers import random_graph
+from helpers import random_graph, reference_sts_dot
 
 
 class TestParseNetwork:
@@ -224,6 +224,14 @@ class TestDotExport:
         dot = export_dot(build_sts(graph))
         assert '"(1)";' in dot
         assert '"(1)" -> "(1)";' in dot
+
+    def test_sts_matches_scalar_reference(self, fig1a, fig1b, mapk):
+        rng = random.Random(211)
+        graphs = [fig1a, fig1b, mapk] + [
+            random_graph(rng, density=0.3, clamp_chance=0.25) for _ in range(10)
+        ]
+        for graph in graphs:
+            assert export_dot(build_sts(graph)) == reference_sts_dot(graph)
 
     def test_deterministic(self, mapk):
         assert export_dot(mapk) == export_dot(load_example("mapk"))

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+import srg.phenotype
 from srg import (
     Phenotype,
     RegulatoryGraph,
+    SRGError,
     TernaryState,
+    Trajectory,
     UnknownVertexError,
     UnsupportedGraphError,
     activation_reachable,
@@ -185,6 +188,13 @@ class TestWitness:
     def test_clamped_graph_refused(self, mapk):
         with pytest.raises(UnsupportedGraphError):
             phenotype_witness(mapk, Phenotype({"FOXO3": 1}))
+
+    def test_dropped_phenotype_fails_closed(self, mapk_plain, monkeypatch):
+        # A broken marking closure must raise, also under python -O.
+        dropped = Trajectory(transient=(), cycle=(TernaryState([-1] * 7),))
+        monkeypatch.setattr(srg.phenotype, "simulate", lambda graph, start: dropped)
+        with pytest.raises(SRGError, match="dropped the phenotype"):
+            phenotype_witness(mapk_plain, Phenotype({"FOXO3": 1}))
 
     def test_marking_never_adds_active_marks(self):
         rng = random.Random(71)
