@@ -29,11 +29,11 @@ class BooleanState(tuple):
     __slots__ = ()
 
     def __new__(cls, bits):
-        vals = tuple(int(b) for b in bits)
+        vals = tuple(bits)
         for b in vals:
             if b not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        return tuple.__new__(cls, vals)
+        return tuple.__new__(cls, map(int, vals))
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ def encode_network(graph: RegulatoryGraph) -> BooleanNetwork:
 
 
 _CODE = {1: (1, 0), -1: (0, 1), 0: (0, 0)}
+_DECODE = {bits: value for value, bits in _CODE.items()}
 
 
 def encode_state(state) -> BooleanState:
@@ -130,20 +131,12 @@ def decode_state(bits) -> TernaryState:
     bs = bits if isinstance(bits, BooleanState) else BooleanState(bits)
     if len(bs) % 2:
         raise ValueError(f"bit count must be even, got {len(bs)}")
-    values = []
-    for k in range(0, len(bs), 2):
-        pair = (bs[k], bs[k + 1])
-        if pair == (1, 0):
-            values.append(1)
-        elif pair == (0, 1):
-            values.append(-1)
-        elif pair == (0, 0):
-            values.append(0)
-        else:
-            raise InvalidCodeError(
-                f"bit pair {k // 2} is (1, 1), which encodes no ternary value"
-            )
-    return TernaryState(values)
+    pairs = [bs[k : k + 2] for k in range(0, len(bs), 2)]
+    if (1, 1) in pairs:
+        raise InvalidCodeError(
+            f"bit pair {pairs.index((1, 1))} is (1, 1), which encodes no ternary value"
+        )
+    return TernaryState(_DECODE[pair] for pair in pairs)
 
 
 def bn_step(network: BooleanNetwork, bstate) -> BooleanState:

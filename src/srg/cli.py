@@ -1,7 +1,8 @@
 """Command-line front end: batch analyses over network files.
 
 Exit codes: 0 success (or admissible / non-empty result), 1 inadmissible
-or empty result, 2 usage or parse error, 3 state-space limit refusal.
+or empty result, 2 usage or parse error, 3 state-space limit refusal, 141
+(128 + SIGPIPE) when the reader of stdout closed the pipe.
 """
 
 from __future__ import annotations
@@ -13,21 +14,17 @@ import sys
 from .boolenc import check_simulation_equivalence, encode_network, to_boolnet
 from .core import step
 from .dynamics import DEFAULT_STATE_LIMIT, build_sts, enumerate_attractors, simulate
-from .errors import (
-    ParseError,
-    SRGError,
-    StateSpaceLimitError,
-)
+from .errors import ParseError, SRGError, StateSpaceLimitError
 from .netio import (
     EXAMPLE_NETWORKS,
     analysis_report,
     attractor_json,
     decision_json,
     equivalence_json,
-    example_network_text,
     export_dot,
     format_state,
     format_transitions,
+    load_example,
     parse_network,
     parse_phenotype,
     parse_state,
@@ -42,6 +39,7 @@ EXIT_OK = 0
 EXIT_EMPTY = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+_EXIT_CLOSED_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 _COMPLETIONS = {"minus": -1, "zero": 0, "plus": 1}
 
@@ -51,12 +49,20 @@ def _load_network(source: str):
         with open(source, encoding="utf-8") as handle:
             return parse_network(handle.read())
     if source in EXAMPLE_NETWORKS:
-        return parse_network(example_network_text(source))
+        return load_example(source)
     raise ParseError(f"no such network file or bundled example: {source!r}")
 
 
 def _emit(report):
     print(render_report(report), end="")
+
+
+def _print_attractors(header, attractors):
+    print(header)
+    for k, attractor in enumerate(attractors, start=1):
+        print(f"attractor {k} (period {attractor.period}):")
+        for s in attractor.states:
+            print(f"  {format_state(s)}")
 
 
 def _cmd_step(args):
@@ -105,11 +111,7 @@ def _cmd_attractors(args):
             "attractors": [attractor_json(a) for a in attractors],
         }))
         return EXIT_OK
-    print(f"{len(attractors)} attractors")
-    for k, attractor in enumerate(attractors, start=1):
-        print(f"attractor {k} (period {attractor.period}):")
-        for s in attractor.states:
-            print(f"  {format_state(s)}")
+    _print_attractors(f"{len(attractors)} attractors", attractors)
     return EXIT_OK
 
 
@@ -149,11 +151,7 @@ def _cmd_phenotype_check(args):
                 "attractors": [attractor_json(a) for a in matches],
             }))
         else:
-            print(f"{len(matches)} matching attractors")
-            for k, attractor in enumerate(matches, start=1):
-                print(f"attractor {k} (period {attractor.period}):")
-                for s in attractor.states:
-                    print(f"  {format_state(s)}")
+            _print_attractors(f"{len(matches)} matching attractors", matches)
         return EXIT_OK if matches else EXIT_EMPTY
     decision = decide_phenotype(graph, phenotype, mode=args.mode)
     if args.json:
@@ -304,11 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bn", help="check the Boolean encoding against the ternary step")
     network_arg(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true",
-                       help="check every clamp-consistent state (the default)")
-    group.add_argument("--samples", type=int, default=None,
-                       help="check this many random states instead")
+    p.add_argument("--samples", type=int, default=None,
+                   help="check this many random states instead of every clamp-consistent one")
     p.add_argument("--seed", type=int, default=0)
     limit_flag(p)
     json_flag(p)
@@ -318,20 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"srg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at interpreter exit
+        # does not fail again on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_CLOSED_PIPE
     except StateSpaceLimitError as exc:
         print(f"srg: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (SRGError, ValueError) as exc:
-        print(f"srg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SRGError, ValueError, OSError) as exc:
         print(f"srg: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

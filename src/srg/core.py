@@ -34,11 +34,11 @@ class TernaryState(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
         for v in vals:
-            if v not in (-1, 0, 1):
+            if v not in TERNARY_VALUES:
                 raise ValueError(f"ternary values must be -1, 0 or 1, got {v!r}")
-        return tuple.__new__(cls, vals)
+        return tuple.__new__(cls, map(int, vals))
 
     @classmethod
     def from_mapping(cls, graph: "RegulatoryGraph", values: Mapping[str, int]) -> "TernaryState":
@@ -132,10 +132,9 @@ class RegulatoryGraph:
         clamp_map = {}
         for key, value in dict(clamps or {}).items():
             i = self.index_of(key)
-            value = int(value)
             if value not in (-1, 1):
-                raise ValueError(f"clamp value for {names[i]!r} must be -1 or 1, got {value}")
-            clamp_map[i] = value
+                raise ValueError(f"clamp value for {names[i]!r} must be -1 or 1, got {value!r}")
+            clamp_map[i] = int(value)
         self.clamps = dict(sorted(clamp_map.items()))
 
         self.activation_in = self._grouped(act, by_target=True)
@@ -207,9 +206,7 @@ class RegulatoryGraph:
         )
 
     def without_clamps(self) -> "RegulatoryGraph":
-        return RegulatoryGraph(
-            self.vertices, sorted(self.activation_edges), sorted(self.inhibition_edges)
-        )
+        return self.with_clamps(dict.fromkeys(self.clamps))
 
     def __eq__(self, other):
         if not isinstance(other, RegulatoryGraph):
@@ -245,6 +242,21 @@ def _signed_preds(graph, i, sign):
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def _influences(st, preds):
+    """(some of `preds` is active, some is ambiguous) in state `st`.
+
+    A plain loop on purpose: `step` runs it twice per vertex.
+    """
+    has_active = has_ambiguous = False
+    for u in preds:
+        val = st[u]
+        if val == 1:
+            has_active = True
+        elif val == 0:
+            has_ambiguous = True
+    return has_active, has_ambiguous
+
+
 def regulators(graph: RegulatoryGraph, state, vertex, sign) -> RegSet:
     """Influence strengths reaching `vertex` over edges of one sign.
 
@@ -253,14 +265,7 @@ def regulators(graph: RegulatoryGraph, state, vertex, sign) -> RegSet:
     """
     i = graph.index_of(vertex)
     st = _state_values(graph, state)
-    has_active = has_ambiguous = False
-    for u in _signed_preds(graph, i, sign):
-        val = st[u]
-        if val == 1:
-            has_active = True
-        elif val == 0:
-            has_ambiguous = True
-    return RegSet(has_active, has_ambiguous)
+    return RegSet(*_influences(st, _signed_preds(graph, i, sign)))
 
 
 def regulators_reflexive(graph: RegulatoryGraph, state, vertex, sign) -> RegSet:
@@ -273,34 +278,14 @@ def regulators_reflexive(graph: RegulatoryGraph, state, vertex, sign) -> RegSet:
     """
     i = graph.index_of(vertex)
     st = _state_values(graph, state)
-    base = regulators(graph, st, i, sign)
-    cur = st[i]
-    if sign == ACTIVATION:
-        extra = cur if cur in (0, 1) else None
-    else:
-        extra = -cur if cur in (-1, 0) else None
-    if extra == 1:
-        return RegSet(True, base.has_ambiguous)
-    if extra == 0:
-        return RegSet(base.has_active, True)
-    return base
+    has_active, has_ambiguous = _influences(st, _signed_preds(graph, i, sign))
+    own = st[i] if sign == ACTIVATION else -st[i]
+    return RegSet(has_active or own == 1, has_ambiguous or own == 0)
 
 
 def _update_index(graph, st, i) -> int:
-    act_active = act_ambiguous = False
-    for u in graph.activation_in[i]:
-        val = st[u]
-        if val == 1:
-            act_active = True
-        elif val == 0:
-            act_ambiguous = True
-    inh_active = inh_ambiguous = False
-    for u in graph.inhibition_in[i]:
-        val = st[u]
-        if val == 1:
-            inh_active = True
-        elif val == 0:
-            inh_ambiguous = True
+    act_active, act_ambiguous = _influences(st, graph.activation_in[i])
+    inh_active, inh_ambiguous = _influences(st, graph.inhibition_in[i])
     cur = st[i]
     if (act_active or cur == 1) and not inh_active and not inh_ambiguous:
         return 1

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import RegulatoryGraph, TernaryState, apply_clamps, step
+from .core import RegulatoryGraph, TernaryState, _state_values, apply_clamps, step
 from .errors import StateSpaceLimitError, StepBudgetError
 
 # Clamped vertices are pinned, so a graph with c clamps has 3^(n - c)
@@ -89,7 +89,7 @@ class TransitionSystem:
 
     @functools.cached_property
     def states(self) -> tuple:
-        return tuple(TernaryState(p) for p in itertools.product(*self.domains))
+        return tuple(enumerate_states(self.graph, state_limit=len(self)))
 
     def successor_of(self, state) -> TernaryState:
         st = _checked_state(self.graph, state)
@@ -203,9 +203,7 @@ def _decode(domains, codes):
 
 
 def _checked_state(graph, state) -> TernaryState:
-    st = state if isinstance(state, TernaryState) else TernaryState(state)
-    if len(st) != graph.n:
-        raise ValueError(f"state has {len(st)} values but the graph has {graph.n} vertices")
+    st = _state_values(graph, state)
     for i, value in graph.clamps.items():
         if st[i] != value:
             raise ValueError(f"state {st!r} violates the clamp on {graph.vertices[i]}")
@@ -267,14 +265,7 @@ def is_attractor(graph: RegulatoryGraph, states) -> bool:
     non-empty trap set.
     """
     pool = _normalized_state_set(graph, states)
-    if not all(step(graph, s) in pool for s in pool):
+    if not is_trap_set(graph, pool):
         return False
-    start = min(pool)
-    visited = 1
-    current = step(graph, start)
-    while current != start:
-        visited += 1
-        if visited > len(pool):
-            return False
-        current = step(graph, current)
-    return visited == len(pool)
+    # A closed pool of k states repeats within k steps from any of them.
+    return simulate(graph, min(pool), max_steps=len(pool)).period == len(pool)

@@ -32,12 +32,11 @@ class Phenotype:
     def __init__(self, assignment: Mapping[str, int]):
         values = {}
         for name, value in assignment.items():
-            value = int(value)
             if value not in (-1, 1):
                 raise ValueError(
-                    f"phenotype value for {name!r} must be -1 or 1, got {value}"
+                    f"phenotype value for {name!r} must be -1 or 1, got {value!r}"
                 )
-            values[str(name)] = value
+            values[str(name)] = int(value)
         self.assignment = values
 
     @property
@@ -118,29 +117,19 @@ def activation_reachable(graph: RegulatoryGraph, sources, direction="forward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if isinstance(sources, (str, int)):
         sources = [sources]
-    frontier = deque()
-    seen = set()
-    for s in sources:
-        i = graph.index_of(s)
-        if i not in seen:
-            seen.add(i)
-            frontier.append(i)
-    while frontier:
-        x = frontier.popleft()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return {graph.vertices[i] for i in seen}
+    dist, _ = _bfs(adjacency, [graph.index_of(s) for s in sources])
+    return {graph.vertices[i] for i in dist}
 
 
-def _activation_bfs(graph, source):
-    dist = {source: 0}
-    parent = {source: None}
-    queue = deque([source])
+def _bfs(adjacency, sources):
+    """Breadth-first search from every source at once: the distance and the
+    BFS parent (None at a source) of each vertex reached."""
+    dist = dict.fromkeys(sources, 0)
+    parent = dict.fromkeys(sources)
+    queue = deque(dist)
     while queue:
         x = queue.popleft()
-        for y in graph.activation_out[x]:
+        for y in adjacency[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 parent[y] = x
@@ -199,7 +188,7 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
                     )
 
     for u in active:
-        dist, parent = _activation_bfs(graph, u)
+        dist, parent = _bfs(graph.activation_out, [u])
         if mode == MODE_PATHS:
             for v in inactive:
                 if v in dist:

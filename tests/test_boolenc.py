@@ -81,6 +81,13 @@ class TestStateCodes:
         with pytest.raises(ValueError):
             BooleanState((0, 2))
 
+    def test_non_integral_bits_rejected(self):
+        for bad in ((0.5, 1), (1, 1.9), ("1", 0)):
+            with pytest.raises(ValueError, match="bits must be"):
+                BooleanState(bad)
+        bits = BooleanState((1.0, 0.0))
+        assert bits == (1, 0) and all(type(b) is int for b in bits)
+
 
 class TestBnStep:
     def test_replays_quoted_transition(self, fig1a):

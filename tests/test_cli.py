@@ -1,12 +1,18 @@
 """End-to-end runs of the command-line interface."""
 
+import argparse
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
+import srg
 from srg import load_example, serialize_network
-from srg.cli import main
+from srg.cli import build_parser, main
 
 from helpers import random_graph, reference_sts_dot, reference_sts_text
 
@@ -250,3 +256,86 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_exhaustive_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify-bn", "fig1a", "--exhaustive"])
+        assert err.value.code == 2
+        assert "--exhaustive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-bn", "fig1a", "--samples", "0"),
+        ("simulate", "fig1b", "(1,-1,1)", "--max-steps", "0"),
+    ])
+    def test_value_error_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("srg: ") and "must be positive" in err
+
+    def test_os_error_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rules.bnet"
+        code, out, err = run(capsys, "encode-bn", "fig1a", "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("srg: ") and "No such file or directory" in err
+
+
+SRG_SRC = os.path.dirname(os.path.dirname(os.path.abspath(srg.__file__)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("attractors", "fig1a"),  # short output, written by the final flush
+    ("sts", "mapk", "--dot"),  # long output, written while printing
+])
+def test_closed_stdout_pipe_exits_141_quietly(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRG_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from srg.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # The child is still importing, so the pipe closes before it writes.
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def _readme_synopsis():
+    """README's "Command line" synopsis: subcommand -> the options it lists."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    synopsis = {}
+    for line in block.strip().splitlines():
+        words = line.split()[1:]
+        k = next(i for i, w in enumerate(words) if w.startswith("<"))
+        synopsis[" ".join(words[:k])] = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+    return synopsis
+
+
+def _parser_options(parser, prefix=""):
+    """Every leaf subcommand of `parser` -> its option actions, without -h."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_parser_options(sub, f"{prefix}{name} "))
+    if not out and prefix:
+        out[prefix.strip()] = [
+            a for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ]
+    return out
+
+
+def test_readme_synopsis_matches_parser():
+    synopsis = _readme_synopsis()
+    parsed = _parser_options(build_parser())
+    assert sorted(synopsis) == sorted(parsed)
+    for command, actions in parsed.items():
+        listed = synopsis[command]
+        known = {opt for a in actions for opt in a.option_strings}
+        assert listed <= known, (command, listed - known)
+        missing = [a.option_strings for a in actions if not listed & set(a.option_strings)]
+        assert not missing, (command, missing)

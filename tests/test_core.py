@@ -304,6 +304,12 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="clamp value"):
             RegulatoryGraph(["A"], clamps={"A": 0})
 
+    def test_non_integral_clamp_value_rejected(self):
+        for value in (1.9, -1.2, "1"):
+            with pytest.raises(ValueError, match="clamp value"):
+                RegulatoryGraph(["A"], clamps={"A": value})
+        assert RegulatoryGraph(["A"], clamps={"A": 1.0}).clamps == {0: 1}
+
     def test_index_name_round_trip(self, mapk):
         assert mapk.index_of("FOXO3") == 5
         assert mapk.index_of(5) == 5
@@ -341,3 +347,10 @@ class TestTernaryState:
     def test_value_validation(self):
         with pytest.raises(ValueError):
             TernaryState((2, 0))
+
+    def test_non_integral_values_rejected(self):
+        for bad in ((0.5, 0), (-1.7, 0), ("1", 0)):
+            with pytest.raises(ValueError, match="ternary values"):
+                TernaryState(bad)
+        state = TernaryState((1.0, -1.0, 0.0))
+        assert state == (1, -1, 0) and all(type(v) is int for v in state)

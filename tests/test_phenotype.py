@@ -293,3 +293,9 @@ class TestPhenotypeValue:
         assert len(phenotype) == 2
         assert phenotype == Phenotype({"B": -1, "A": 1})
         assert "A=1" in repr(phenotype)
+
+    def test_non_integral_values_rejected(self):
+        for value in (-1.2, 0.9, "1"):
+            with pytest.raises(ValueError, match="must be -1 or 1"):
+                Phenotype({"A": value})
+        assert Phenotype({"A": -1.0}).assignment == {"A": -1}
