@@ -1,7 +1,8 @@
 """Command-line front end: batch analyses over network files.
 
 Exit codes: 0 success (or admissible / non-empty result), 1 inadmissible
-or empty result, 2 usage or parse error, 3 state-space limit refusal, 141
+or empty result, 2 usage or parse error, 3 state-space limit refusal or
+out of memory, 130 (128 + SIGINT) when interrupted with Ctrl-C, 141
 (128 + SIGPIPE) when the reader of stdout closed the pipe.
 """
 
@@ -23,14 +24,15 @@ from .netio import (
     equivalence_json,
     export_dot,
     format_state,
-    format_transitions,
     load_example,
     parse_network,
     parse_phenotype,
     parse_state,
     render_report,
+    serialize_network,
     state_json,
     trajectory_json,
+    transition_lines,
     witness_json,
 )
 from .phenotype import attractors_with_phenotype, decide_phenotype, phenotype_witness
@@ -40,6 +42,7 @@ EXIT_EMPTY = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 _EXIT_CLOSED_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
+_EXIT_INTERRUPTED = 130  # what a shell reports for a process killed by SIGINT
 
 _COMPLETIONS = {"minus": -1, "zero": 0, "plus": 1}
 
@@ -57,16 +60,19 @@ def _emit(report):
     print(render_report(report), end="")
 
 
+def _print_states(header, states):
+    print(header)
+    for s in states:
+        print(f"  {format_state(s)}")
+
+
 def _print_attractors(header, attractors):
     print(header)
     for k, attractor in enumerate(attractors, start=1):
-        print(f"attractor {k} (period {attractor.period}):")
-        for s in attractor.states:
-            print(f"  {format_state(s)}")
+        _print_states(f"attractor {k} (period {attractor.period}):", attractor.states)
 
 
-def _cmd_step(args):
-    graph = _load_network(args.network)
+def _cmd_step(graph, args):
     state = parse_state(args.state, graph)
     if args.steps < 1:
         raise ParseError("-n must be positive")
@@ -86,24 +92,18 @@ def _cmd_step(args):
     return EXIT_OK
 
 
-def _cmd_simulate(args):
-    graph = _load_network(args.network)
+def _cmd_simulate(graph, args):
     state = parse_state(args.state, graph)
     trajectory = simulate(graph, state, max_steps=args.max_steps)
     if args.json:
         _emit(analysis_report("simulate", graph, trajectory_json(trajectory)))
         return EXIT_OK
-    print("transient:")
-    for s in trajectory.transient:
-        print(f"  {format_state(s)}")
-    print(f"cycle (period {trajectory.period}):")
-    for s in trajectory.cycle:
-        print(f"  {format_state(s)}")
+    _print_states("transient:", trajectory.transient)
+    _print_states(f"cycle (period {trajectory.period}):", trajectory.cycle)
     return EXIT_OK
 
 
-def _cmd_attractors(args):
-    graph = _load_network(args.network)
+def _cmd_attractors(graph, args):
     attractors = enumerate_attractors(graph, state_limit=args.limit)
     if args.json:
         _emit(analysis_report("attractors", graph, {
@@ -115,32 +115,23 @@ def _cmd_attractors(args):
     return EXIT_OK
 
 
-def _cmd_sts(args):
-    graph = _load_network(args.network)
+def _cmd_sts(graph, args):
     system = build_sts(graph, state_limit=args.limit)
-    if args.dot:
-        print(export_dot(system), end="")
-    else:
-        print(format_transitions(system), end="")
+    sys.stdout.writelines(transition_lines(system, args.dot))
     return EXIT_OK
 
 
-def _cmd_graph(args):
-    graph = _load_network(args.network)
+def _cmd_graph(graph, args):
     if args.dot:
         print(export_dot(graph), end="")
         return EXIT_OK
     print("vertices:", " ".join(graph.vertices))
-    for src, sign, dst in graph.edges():
-        op = "->" if sign == "+" else "-|"
-        print(f"{src} {op} {dst}")
-    for i, value in graph.clamps.items():
-        print(f"clamp {graph.vertices[i]} = {value}")
+    for line in serialize_network(graph).splitlines()[graph.n:]:
+        print(line)
     return EXIT_OK
 
 
-def _cmd_phenotype_check(args):
-    graph = _load_network(args.network)
+def _cmd_phenotype_check(graph, args):
     phenotype = parse_phenotype(args.target)
     if args.mode == "oracle":
         matches = attractors_with_phenotype(graph, phenotype, state_limit=args.limit)
@@ -168,8 +159,7 @@ def _cmd_phenotype_check(args):
     return EXIT_OK if decision.admissible else EXIT_EMPTY
 
 
-def _cmd_phenotype_witness(args):
-    graph = _load_network(args.network)
+def _cmd_phenotype_witness(graph, args):
     phenotype = parse_phenotype(args.target)
     witness = phenotype_witness(graph, phenotype, completion=_COMPLETIONS[args.completion])
     if args.json:
@@ -181,14 +171,12 @@ def _cmd_phenotype_witness(args):
     marked = ", ".join(f"{k}={v}" for k, v in witness.marking.marked.items())
     print(f"marking: {marked if marked else '(none)'}")
     print(f"start: {format_state(witness.start)}")
-    print(f"witness attractor (period {witness.attractor.period}):")
-    for s in witness.attractor.states:
-        print(f"  {format_state(s)}")
+    attractor = witness.attractor
+    _print_states(f"witness attractor (period {attractor.period}):", attractor.states)
     return EXIT_OK
 
 
-def _cmd_encode_bn(args):
-    graph = _load_network(args.network)
+def _cmd_encode_bn(graph, args):
     text = to_boolnet(encode_network(graph))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -198,8 +186,7 @@ def _cmd_encode_bn(args):
     return EXIT_OK
 
 
-def _cmd_verify_bn(args):
-    graph = _load_network(args.network)
+def _cmd_verify_bn(graph, args):
     report = check_simulation_equivalence(
         graph, samples=args.samples, state_limit=args.limit, seed=args.seed
     )
@@ -315,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = args.func(_load_network(args.network), args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -325,6 +312,12 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _EXIT_CLOSED_PIPE
+    except KeyboardInterrupt:
+        print("srg: interrupted", file=sys.stderr)
+        return _EXIT_INTERRUPTED
+    except MemoryError:
+        print("srg: out of memory; try a smaller network or a lower --limit", file=sys.stderr)
+        return EXIT_LIMIT
     except StateSpaceLimitError as exc:
         print(f"srg: {exc}", file=sys.stderr)
         return EXIT_LIMIT

@@ -21,9 +21,9 @@ import re
 from importlib import resources
 
 from .boolenc import EquivalenceReport
-from .core import RegulatoryGraph, TernaryState
+from .core import RegulatoryGraph, TernaryState, _state_values
 from .dynamics import Attractor, Trajectory, TransitionSystem
-from .errors import ParseError
+from .errors import ParseError, UnknownVertexError
 from .phenotype import Phenotype, PhenotypeDecision, Witness
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -103,45 +103,43 @@ def serialize_network(graph: RegulatoryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _assignments(text: str, what: str) -> dict:
+    """Name -> integer for "A=-1,B=1"; each name may appear only once."""
+    values = {}
+    for part in text.split(","):
+        part = part.strip()
+        m = _ASSIGN_RE.match(part)
+        if not m:
+            raise ParseError(f"cannot parse {what} entry {part!r}")
+        name = m.group(1)
+        if name in values:
+            raise ParseError(f"vertex {name!r} is assigned twice")
+        values[name] = int(m.group(2))
+    return values
+
+
+def _checked(build, *args):
+    """`build(*args)`, with the value checks of the core types as parse errors."""
+    try:
+        return build(*args)
+    except (ValueError, UnknownVertexError) as exc:
+        raise ParseError(str(exc)) from None
+
+
 def parse_state(text: str, graph: RegulatoryGraph) -> TernaryState:
     """Parse "(-1,1,1)" (tuple order) or "A=-1,B=1,C=1" (must cover all)."""
     body = text.strip()
     if not body:
         raise ParseError("empty state")
     if "=" in body:
-        values = {}
-        for part in body.split(","):
-            part = part.strip()
-            m = _ASSIGN_RE.match(part)
-            if not m:
-                raise ParseError(f"cannot parse state entry {part!r}")
-            name, value = m.group(1), int(m.group(2))
-            if not graph.has_vertex(name):
-                raise ParseError(f"unknown vertex {name!r}")
-            if name in values:
-                raise ParseError(f"vertex {name!r} is assigned twice")
-            if value not in (-1, 0, 1):
-                raise ParseError(f"state values must be -1, 0 or 1, got {m.group(2)}")
-            values[name] = value
-        missing = [n for n in graph.vertices if n not in values]
-        if missing:
-            raise ParseError(f"state does not assign {', '.join(missing)}")
-        return TernaryState(values[n] for n in graph.vertices)
+        return _checked(TernaryState.from_mapping, graph, _assignments(body, "state"))
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    parts = [p.strip() for p in body.split(",")]
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in body.split(",")]
     except ValueError:
         raise ParseError(f"state values must be integers: {text.strip()!r}") from None
-    if len(values) != graph.n:
-        raise ParseError(
-            f"state has {len(values)} values but the graph has {graph.n} vertices"
-        )
-    for v in values:
-        if v not in (-1, 0, 1):
-            raise ParseError(f"state values must be -1, 0 or 1, got {v}")
-    return TernaryState(values)
+    return _checked(_state_values, graph, values)
 
 
 def format_state(state) -> str:
@@ -151,21 +149,7 @@ def format_state(state) -> str:
 
 def parse_phenotype(text: str) -> Phenotype:
     """Parse "FOXO3=-1,AKT=1"; phenotype values are -1 or 1, never 0."""
-    values = {}
-    for part in text.strip().split(","):
-        part = part.strip()
-        m = _ASSIGN_RE.match(part)
-        if not m:
-            raise ParseError(f"cannot parse phenotype entry {part!r}")
-        name, value = m.group(1), int(m.group(2))
-        if value not in (-1, 1):
-            raise ParseError(f"phenotype values must be -1 or 1, got {m.group(2)}")
-        if name in values:
-            raise ParseError(f"vertex {name!r} is assigned twice")
-        values[name] = value
-    if not values:
-        raise ParseError("empty phenotype")
-    return Phenotype(values)
+    return _checked(Phenotype, _assignments(text, "phenotype"))
 
 
 def export_dot(subject) -> str:
@@ -178,7 +162,7 @@ def export_dot(subject) -> str:
     if isinstance(subject, RegulatoryGraph):
         return _graph_dot(subject)
     if isinstance(subject, TransitionSystem):
-        return _sts_dot(subject)
+        return "".join(transition_lines(subject, dot=True))
     raise TypeError("export_dot takes a RegulatoryGraph or a TransitionSystem")
 
 
@@ -197,26 +181,27 @@ def _graph_dot(graph):
     return "\n".join(lines) + "\n"
 
 
-def _state_labels(sts):
-    """Every state's tuple literal, indexed by code."""
+_BLOCK_STATES = 1 << 14  # states per yielded block of transition text
+
+
+def transition_lines(sts: TransitionSystem, dot: bool):
+    """One "state -> successor" line per state in canonical order, or DOT.
+
+    Yielded in blocks of whole lines, so the text is never in memory at once.
+    """
+    quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
     digits = [tuple(str(v) for v in domain) for domain in sts.domains]
-    return ["(" + ",".join(p) + ")" for p in itertools.product(*digits)]
-
-
-def _sts_dot(sts):
-    labels = _state_labels(sts)
-    lines = ["digraph state_transitions {"]
-    lines += [f'  "{label}";' for label in labels]
-    lines += [f'  "{label}" -> "{labels[k]}";' for label, k in zip(labels, sts.successor.tolist())]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def format_transitions(sts: TransitionSystem) -> str:
-    """One "state -> successor" line per state, in canonical order."""
-    labels = _state_labels(sts)
-    lines = [f"{label} -> {labels[k]}" for label, k in zip(labels, sts.successor.tolist())]
-    return "\n".join(lines) + "\n"
+    labels = [f"{quote}({','.join(p)}){quote}" for p in itertools.product(*digits)]
+    if dot:
+        yield "digraph state_transitions {\n"
+        for lo in range(0, len(labels), _BLOCK_STATES):
+            yield "".join([f"  {label};\n" for label in labels[lo:lo + _BLOCK_STATES]])
+    for lo in range(0, len(labels), _BLOCK_STATES):
+        hi = lo + _BLOCK_STATES
+        targets = map(labels.__getitem__, sts.successor[lo:hi].tolist())
+        yield "".join([f"{indent}{a} -> {b}{end}" for a, b in zip(labels[lo:hi], targets)])
+    if dot:
+        yield "}\n"
 
 
 def state_json(state):

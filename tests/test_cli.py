@@ -126,6 +126,10 @@ class TestGraphAndSts:
             graph = random_graph(rng, density=0.3, clamp_chance=0.25)
             path.write_text(serialize_network(graph))
             graphs[str(path)] = graph
+        # 3^9 states: more than one block of transition text, and a partial one
+        path = tmp_path / "sparse9.srg"
+        graphs[str(path)] = random_graph(rng, n=9, density=0.03)
+        path.write_text(serialize_network(graphs[str(path)]))
         for source, graph in graphs.items():
             assert run(capsys, "sts", source) == (0, reference_sts_text(graph), "")
             assert run(capsys, "sts", source, "--dot") == (0, reference_sts_dot(graph), "")
@@ -271,6 +275,37 @@ class TestErrorPaths:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("srg: ") and "must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("step", "fig1a", "(-1,2,1)"),
+        ("step", "fig1a", "A=5,B=1,C=1"),
+        ("step", "fig1a", "(-1,1)"),
+        ("step", "fig1a", "A=1,B=1,Q=1"),
+        ("step", "fig1a", "A=1,A=1,B=1"),
+        ("step", "fig1a", "A=1,B=1"),
+        ("step", "fig1a", "(x,y,z)"),
+        ("step", "fig1a", ""),
+        ("phenotype", "check", "fig1a", "--target", "A=0"),
+        ("phenotype", "check", "fig1a", "--target", "A=2"),
+        ("phenotype", "check", "fig1a", "--target", "A=1,A=-1"),
+        ("phenotype", "check", "fig1a", "--target", "A->1"),
+        ("phenotype", "check", "fig1a", "--target", ""),
+    ])
+    def test_bad_state_or_phenotype_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("srg: ")
+
+    @pytest.mark.parametrize("exc, code, message", [
+        (MemoryError, 3, "srg: out of memory; try a smaller network or a lower --limit"),
+        (KeyboardInterrupt, 130, "srg: interrupted"),
+    ], ids=("memory", "interrupt"))
+    def test_crash_exit_codes(self, capsys, monkeypatch, exc, code, message):
+        def enumerate_attractors(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("srg.cli.enumerate_attractors", enumerate_attractors)
+        assert run(capsys, "attractors", "fig1a") == (code, "", message + "\n")
 
     def test_os_error_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "rules.bnet"

@@ -1,0 +1,70 @@
+"""Property tests: independent engines must agree on random graphs.
+
+The scalar `step`, the rule rebuilt from the regulator sets, the vectorized
+transition system and the two-bit Boolean network each compute the same
+successor; the wiring-based `paths` decision must match the exhaustive
+oracle.  Hypothesis shrinks any disagreement to a minimal graph.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from srg import (
+    Phenotype,
+    RegulatoryGraph,
+    apply_clamps,
+    attractors_with_phenotype,
+    bn_step,
+    build_sts,
+    decide_phenotype,
+    decode_state,
+    encode_network,
+    encode_state,
+    step,
+)
+
+from test_core import rule_value
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def graphs(draw, clamped):
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(n)]
+    signs = draw(st.lists(st.sampled_from((None, "+", "-")), min_size=n * n, max_size=n * n))
+    pairs = [(names[k // n], names[k % n]) for k in range(n * n)]
+    activation = [p for p, s in zip(pairs, signs) if s == "+"]
+    inhibition = [p for p, s in zip(pairs, signs) if s == "-"]
+    clamps = {}
+    if clamped:
+        clamps = draw(st.dictionaries(st.sampled_from(names), st.sampled_from((-1, 1))))
+    return RegulatoryGraph(names, activation, inhibition, clamps)
+
+
+def states(graph):
+    values = st.lists(st.sampled_from((-1, 0, 1)), min_size=graph.n, max_size=graph.n)
+    return values.map(lambda vals: apply_clamps(graph, vals))
+
+
+@PROPERTY
+@given(st.data())
+def test_successor_engines_agree(data):
+    graph = data.draw(graphs(clamped=True))
+    sts = build_sts(graph)
+    network = encode_network(graph)
+    for state in data.draw(st.lists(states(graph), min_size=1, max_size=4)):
+        expected = step(graph, state)
+        rebuilt = apply_clamps(graph, [rule_value(graph, state, v) for v in range(graph.n)])
+        assert rebuilt == expected
+        assert sts.successor_of(state) == expected
+        assert decode_state(bn_step(network, encode_state(state))) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_paths_decision_matches_oracle(data):
+    graph = data.draw(graphs(clamped=False))
+    targets = st.dictionaries(st.sampled_from(graph.vertices), st.sampled_from((-1, 1)), min_size=1)
+    phenotype = Phenotype(data.draw(targets))
+    decision = decide_phenotype(graph, phenotype)
+    assert decision.admissible == bool(attractors_with_phenotype(graph, phenotype))
