@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import RegulatoryGraph, TernaryState, step
+from .core import RegulatoryGraph, TernaryState, apply_clamps, step
 from .dynamics import DEFAULT_STATE_LIMIT, enumerate_states
 from .errors import InvalidCodeError
 
@@ -82,35 +82,19 @@ def encode_network(graph: RegulatoryGraph) -> BooleanNetwork:
     Clamped vertices compile to constant rules.
     """
     names = graph.vertices
-    variables = []
+    bits = [bit_names(name) for name in names]
     rules = []
-    for i, name in enumerate(names):
-        on, off = bit_names(name)
-        variables += [on, off]
+    for i, (on, off) in enumerate(bits):
         clamp = graph.clamps.get(i)
-        if clamp is not None:
-            rules.append(BitRule(on, constant=clamp == 1))
-            rules.append(BitRule(off, constant=clamp == -1))
-            continue
-        activators = graph.activation_in[i]
-        inhibitors = graph.inhibition_in[i]
-        rules.append(
-            BitRule(
-                on,
-                or_terms=(on, *(bit_names(names[u])[0] for u in activators)),
-                and_terms=tuple(bit_names(names[u])[1] for u in inhibitors),
-            )
-        )
-        rules.append(
-            BitRule(
-                off,
-                or_terms=(off, *(bit_names(names[u])[0] for u in inhibitors)),
-                and_terms=tuple(bit_names(names[u])[1] for u in activators),
-            )
-        )
-    return BooleanNetwork(
-        vertex_names=names, variables=tuple(variables), rules=tuple(rules)
-    )
+        act, inh = graph.activation_in[i], graph.inhibition_in[i]
+        for bit, value, push, block in ((on, 1, act, inh), (off, -1, inh, act)):
+            if clamp is not None:
+                rules.append(BitRule(bit, constant=clamp == value))
+            else:
+                ors = (bit, *(bits[u][0] for u in push))
+                rules.append(BitRule(bit, ors, tuple(bits[u][1] for u in block)))
+    variables = tuple(b for pair in bits for b in pair)
+    return BooleanNetwork(vertex_names=names, variables=variables, rules=tuple(rules))
 
 
 _CODE = {1: (1, 0), -1: (0, 1), 0: (0, 0)}
@@ -181,7 +165,7 @@ def check_simulation_equivalence(
     `state_limit`); otherwise `samples` random clamp-consistent states are
     drawn from `seed`.  Stops at the first counterexample, which is reported
     rather than raised, as (input state, expected successor, produced bits).
-    Also counts produced (1, 1) pairs; a correct encoding never emits any.
+    Its (1, 1) pairs are counted; a correct encoding never emits any.
     """
     network = encode_network(graph)
     if samples is None:
@@ -190,26 +174,17 @@ def check_simulation_equivalence(
         if samples < 1:
             raise ValueError("samples must be positive")
         rng = random.Random(seed)
-        pool = (_random_state(rng, graph) for _ in range(samples))
+        pool = (apply_clamps(graph, [rng.choice((-1, 0, 1)) for _ in range(graph.n)])
+                for _ in range(samples))
     checked = 0
-    invalid = 0
     for state in pool:
         expected = step(graph, state)
         got = bn_step(network, encode_state(state))
         checked += 1
-        for k in range(0, len(got), 2):
-            if got[k] and got[k + 1]:
-                invalid += 1
         if got != encode_state(expected):
+            invalid = sum(on and off for on, off in zip(got[::2], got[1::2]))
             return EquivalenceReport(False, checked, (state, expected, got), invalid)
-    return EquivalenceReport(True, checked, None, invalid)
-
-
-def _random_state(rng, graph):
-    vals = [rng.choice((-1, 0, 1)) for _ in range(graph.n)]
-    for i, v in graph.clamps.items():
-        vals[i] = v
-    return TernaryState(vals)
+    return EquivalenceReport(True, checked, None, 0)
 
 
 def to_boolnet(network: BooleanNetwork) -> str:

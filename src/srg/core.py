@@ -10,6 +10,7 @@ stand in as one of its regulators (the reflexive extension below).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -22,6 +23,9 @@ TERNARY_VALUES = (INACTIVE, AMBIGUOUS, ACTIVE)
 
 ACTIVATION = "+"
 INHIBITION = "-"
+
+# Vertex names are identifiers, so every text format can carry them unquoted.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 class TernaryState(tuple):
@@ -109,8 +113,8 @@ class RegulatoryGraph:
             raise ValueError("a regulatory graph needs at least one vertex")
         index = {}
         for i, name in enumerate(names):
-            if not name:
-                raise ValueError("vertex names must be non-empty")
+            if not re.fullmatch(_NAME, name):
+                raise ValueError(f"vertex names must match {_NAME}, got {name!r}")
             if name in index:
                 raise ValueError(f"duplicate vertex name {name!r}")
             index[name] = i
@@ -140,7 +144,6 @@ class RegulatoryGraph:
         self.activation_in = self._grouped(act, by_target=True)
         self.inhibition_in = self._grouped(inh, by_target=True)
         self.activation_out = self._grouped(act, by_target=False)
-        self.inhibition_out = self._grouped(inh, by_target=False)
 
     def _edge(self, pair):
         try:

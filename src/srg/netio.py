@@ -21,12 +21,11 @@ import re
 from importlib import resources
 
 from .boolenc import EquivalenceReport
-from .core import RegulatoryGraph, TernaryState, _state_values
+from .core import _NAME, RegulatoryGraph, TernaryState, _state_values
 from .dynamics import Attractor, Trajectory, TransitionSystem
 from .errors import ParseError, UnknownVertexError
 from .phenotype import Phenotype, PhenotypeDecision, Witness
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NODE_RE = re.compile(rf"^node\s+({_NAME})$")
 _EDGE_RE = re.compile(rf"^({_NAME})\s*(->|-\|)\s*({_NAME})$")
 _CLAMP_RE = re.compile(rf"^clamp\s+({_NAME})\s*=\s*([+-]?\d+)$")
@@ -188,18 +187,31 @@ def transition_lines(sts: TransitionSystem, dot: bool):
     """One "state -> successor" line per state in canonical order, or DOT.
 
     Yielded in blocks of whole lines, so the text is never in memory at once.
+    The label of code c is heads[c // width] + tails[c % width]: the tails
+    cover the trailing vertices whose states fit in one block, the heads the
+    rest, so neither table grows with the state count.
     """
     quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
     digits = [tuple(str(v) for v in domain) for domain in sts.domains]
-    labels = [f"{quote}({','.join(p)}){quote}" for p in itertools.product(*digits)]
+    split, width = len(digits), 1
+    while split and width * len(digits[split - 1]) <= _BLOCK_STATES:
+        split -= 1
+        width *= len(digits[split])
+    heads = [quote + "(" + "".join(d + "," for d in p) for p in itertools.product(*digits[:split])]
+    tails = [",".join(p) + ")" + quote for p in itertools.product(*digits[split:])]
+    total = len(sts)
     if dot:
         yield "digraph state_transitions {\n"
-        for lo in range(0, len(labels), _BLOCK_STATES):
-            yield "".join([f"  {label};\n" for label in labels[lo:lo + _BLOCK_STATES]])
-    for lo in range(0, len(labels), _BLOCK_STATES):
-        hi = lo + _BLOCK_STATES
-        targets = map(labels.__getitem__, sts.successor[lo:hi].tolist())
-        yield "".join([f"{indent}{a} -> {b}{end}" for a, b in zip(labels[lo:hi], targets)])
+        for lo in range(0, total, _BLOCK_STATES):
+            codes = range(lo, min(lo + _BLOCK_STATES, total))
+            yield "".join([f"  {heads[c // width]}{tails[c % width]};\n" for c in codes])
+    for lo in range(0, total, _BLOCK_STATES):
+        pairs = zip(range(lo, total), sts.successor[lo:lo + _BLOCK_STATES].tolist())
+        yield "".join([
+            f"{indent}{heads[a // width]}{tails[a % width]}"
+            f" -> {heads[b // width]}{tails[b % width]}{end}"
+            for a, b in pairs
+        ])
     if dot:
         yield "}\n"
 

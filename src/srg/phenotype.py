@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import RegulatoryGraph, TernaryState
+from .core import RegulatoryGraph, TernaryState, _state_values
 from .dynamics import DEFAULT_STATE_LIMIT, Attractor, enumerate_attractors, simulate
 from .errors import SRGError, UnsupportedGraphError
 
@@ -103,6 +103,10 @@ def _resolve_targets(graph, phenotype):
     return dict(sorted(resolved.items()))
 
 
+def _carries(attractor, required):
+    return all(s[i] == v for s in attractor.states for i, v in required.items())
+
+
 def activation_reachable(graph: RegulatoryGraph, sources, direction="forward"):
     """Vertices connected to `sources` by activation-only paths (length >= 0).
 
@@ -187,13 +191,14 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
                         Violation("a", names[u], names[v], (names[u],), (names[u], names[v]))
                     )
 
+    reach_rule = "a" if mode == MODE_PATHS else "b"
     for u in active:
         dist, parent = _bfs(graph.activation_out, [u])
+        for v in inactive:
+            if v in dist:
+                path = tuple(names[i] for i in _bfs_path(parent, v))
+                violations.append(Violation(reach_rule, names[u], names[v], path))
         if mode == MODE_PATHS:
-            for v in inactive:
-                if v in dist:
-                    path = tuple(names[i] for i in _bfs_path(parent, v))
-                    violations.append(Violation("a", names[u], names[v], path))
             for v in active:
                 hits = [x for x in graph.inhibition_in[v] if x in dist]
                 if hits:
@@ -202,11 +207,6 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
                     violations.append(
                         Violation("b", names[u], names[v], path, (names[x], names[v]))
                     )
-        else:
-            for v in inactive:
-                if v in dist:
-                    path = tuple(names[i] for i in _bfs_path(parent, v))
-                    violations.append(Violation("b", names[u], names[v], path))
 
     decision = PhenotypeDecision(
         admissible=not violations, mode=mode, violations=tuple(violations)
@@ -258,20 +258,11 @@ def phenotype_witness(graph: RegulatoryGraph, phenotype: Phenotype, completion=-
         return Witness(admissible=False, marking=marking)
 
     if isinstance(completion, int):
-        if completion not in (-1, 0, 1):
-            raise ValueError(f"completion must be -1, 0, 1 or a state, got {completion}")
-        fill = [completion] * graph.n
-    else:
-        fill = TernaryState(completion)
-        if len(fill) != graph.n:
-            raise ValueError(
-                f"completion state has {len(fill)} values but the graph has {graph.n} vertices"
-            )
-    start = TernaryState(
-        marked.get(i, fill[i]) for i in range(graph.n)
-    )
+        completion = [completion] * graph.n
+    fill = _state_values(graph, completion)
+    start = TernaryState(marked.get(i, fill[i]) for i in range(graph.n))
     attractor = simulate(graph, start).attractor()
-    if not all(s[i] == v for s in attractor.states for i, v in required.items()):
+    if not _carries(attractor, required):
         raise SRGError("witness attractor dropped the phenotype; marking closure is broken")
     return Witness(admissible=True, marking=marking, start=start, attractor=attractor)
 
@@ -286,5 +277,5 @@ def attractors_with_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, stat
     return [
         attractor
         for attractor in enumerate_attractors(graph, state_limit)
-        if all(s[i] == v for s in attractor.states for i, v in required.items())
+        if _carries(attractor, required)
     ]

@@ -164,6 +164,26 @@ class TestCommutingSquare:
         assert encode_state(expected) != got
         assert step(fig1a, state) == expected
 
+    def test_checker_counts_invalid_codes(self, fig1a, monkeypatch):
+        """A rule pair that emits (1, 1) fails at the first state and counts it."""
+        import srg.boolenc as boolenc
+
+        real = boolenc.encode_network
+
+        def broken_encoder(graph):
+            network = real(graph)
+            rules = tuple(
+                BitRule(r.target, constant=True) if r.target in ("A_on", "A_off") else r
+                for r in network.rules
+            )
+            return BooleanNetwork(network.vertex_names, network.variables, rules)
+
+        monkeypatch.setattr(boolenc, "encode_network", broken_encoder)
+        report = boolenc.check_simulation_equivalence(fig1a)
+        assert not report.ok
+        assert report.states_checked == 1
+        assert report.invalid_codes == 1
+
     def test_sample_count_validated(self, fig1a):
         with pytest.raises(ValueError):
             check_simulation_equivalence(fig1a, samples=0)

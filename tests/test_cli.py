@@ -130,6 +130,11 @@ class TestGraphAndSts:
         path = tmp_path / "sparse9.srg"
         graphs[str(path)] = random_graph(rng, n=9, density=0.03)
         path.write_text(serialize_network(graphs[str(path)]))
+        # 3^9 states over 11 vertices: the leading vertices, one of them
+        # clamped, index a table of several label heads
+        path = tmp_path / "clamped11.srg"
+        graphs[str(path)] = random_graph(rng, n=11, density=0.03).with_clamps({"v0": 1, "v6": -1})
+        path.write_text(serialize_network(graphs[str(path)]))
         for source, graph in graphs.items():
             assert run(capsys, "sts", source) == (0, reference_sts_text(graph), "")
             assert run(capsys, "sts", source, "--dot") == (0, reference_sts_dot(graph), "")

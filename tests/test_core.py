@@ -292,6 +292,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             RegulatoryGraph(["A", "A"])
 
+    @pytest.mark.parametrize("name", ["a b", "1x", 'x"y', ""])
+    def test_names_the_text_formats_cannot_carry_rejected(self, name):
+        with pytest.raises(ValueError, match="vertex name"):
+            RegulatoryGraph([name, "c"], [(name, "c")])
+
     def test_empty_vertex_set_rejected(self):
         with pytest.raises(ValueError):
             RegulatoryGraph([])

@@ -1,7 +1,9 @@
 """Network text format, state literals, DOT export, JSON reports."""
 
+import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +32,7 @@ from srg.netio import (
     render_report,
     state_json,
     trajectory_json,
+    transition_lines,
     witness_json,
 )
 from srg import (
@@ -232,6 +235,19 @@ class TestDotExport:
         ]
         for graph in graphs:
             assert export_dot(build_sts(graph)) == reference_sts_dot(graph)
+
+    def test_sts_renderer_memory_is_bounded_by_the_block(self):
+        """The first blocks must not need a label for every one of 3^12 states."""
+        names = [f"v{i}" for i in range(12)]
+        sts = build_sts(RegulatoryGraph(names, list(zip(names, names[1:]))))
+        tracemalloc.start()
+        try:
+            blocks = list(itertools.islice(transition_lines(sts, dot=True), 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks[1].startswith('  "(-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1)";\n')
+        assert peak < 8 * 2**20
 
     def test_deterministic(self, mapk):
         assert export_dot(mapk) == export_dot(load_example("mapk"))
