@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .core import RegulatoryGraph, TernaryState, apply_clamps, step
-from .dynamics import DEFAULT_STATE_LIMIT, enumerate_states
+from .dynamics import DEFAULT_STATE_LIMIT, _states
 from .errors import InvalidCodeError
 
 
@@ -161,7 +161,7 @@ def check_simulation_equivalence(
 ) -> EquivalenceReport:
     """Check encode(step(s)) == bn_step(encode(s)) over the requested coverage.
 
-    With samples=None every clamp-consistent state is checked (subject to
+    With samples=None every clamp-consistent state is streamed (subject to
     `state_limit`); otherwise `samples` random clamp-consistent states are
     drawn from `seed`.  Stops at the first counterexample, which is reported
     rather than raised, as (input state, expected successor, produced bits).
@@ -169,7 +169,7 @@ def check_simulation_equivalence(
     """
     network = encode_network(graph)
     if samples is None:
-        pool = enumerate_states(graph, state_limit)
+        pool = _states(graph, state_limit)
     else:
         if samples < 1:
             raise ValueError("samples must be positive")

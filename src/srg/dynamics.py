@@ -85,11 +85,11 @@ class TransitionSystem:
     def __init__(self, graph: RegulatoryGraph, successor: np.ndarray):
         self.graph = graph
         self.successor = successor
-        self.domains = _domains(graph)  # per vertex, the values it can take
+        self.domains = _domains(graph, len(successor))
 
     @functools.cached_property
     def states(self) -> tuple:
-        return tuple(enumerate_states(self.graph, state_limit=len(self)))
+        return tuple(_states(self.graph, len(self)))
 
     def successor_of(self, state) -> TernaryState:
         st = _checked_state(self.graph, state)
@@ -130,16 +130,12 @@ def simulate(graph: RegulatoryGraph, start, max_steps=None) -> Trajectory:
     )
 
 
-def _domains(graph):
+def _domains(graph, state_limit):
+    """Each vertex's values in the clamp-consistent space; refuses one over `state_limit` states."""
+    free = graph.n - len(graph.clamps)
+    if 3 ** free > state_limit:
+        raise StateSpaceLimitError(free, 3 ** free, state_limit)
     return [(graph.clamps[i],) if i in graph.clamps else (-1, 0, 1) for i in range(graph.n)]
-
-
-def _state_space(graph, state_limit):
-    free = [i for i in range(graph.n) if i not in graph.clamps]
-    size = 3 ** len(free)
-    if size > state_limit:
-        raise StateSpaceLimitError(len(free), size, state_limit)
-    return free, size
 
 
 def _code_dtype(size):
@@ -157,8 +153,10 @@ def _max_at(columns, regulators):
     return functools.reduce(np.maximum, (columns[u] for u in regulators), np.int8(-1))
 
 
-def _successor_codes(graph, free, size):
+def _successor_codes(graph, domains):
     """The successor code of every code, by the unanimous rule."""
+    free = [i for i, d in enumerate(domains) if len(d) == 3]
+    size = 3 ** len(free)
     columns = dict(graph.clamps)
     strides = [3 ** (len(free) - 1 - j) for j in range(len(free))]
     digits = np.arange(-1, 2, dtype=np.int8)
@@ -210,10 +208,13 @@ def _checked_state(graph, state) -> TernaryState:
     return st
 
 
+def _states(graph, state_limit):
+    return map(TernaryState, itertools.product(*_domains(graph, state_limit)))
+
+
 def enumerate_states(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
     """Every clamp-consistent state, in canonical order."""
-    _state_space(graph, state_limit)
-    return [TernaryState(p) for p in itertools.product(*_domains(graph))]
+    return list(_states(graph, state_limit))
 
 
 def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
@@ -222,12 +223,12 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     Returns a list sorted by each attractor's least state; refuses with
     StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`.
     """
-    free, size = _state_space(graph, state_limit)
-    succ = _successor_codes(graph, free, size)
+    domains = _domains(graph, state_limit)
+    succ = _successor_codes(graph, domains)
     on_cycle, _ = _peel(succ)
     codes = on_cycle.tolist()
     nxt = dict(zip(codes, succ[on_cycle].tolist()))
-    state_of = dict(zip(codes, _decode(_domains(graph), on_cycle)))
+    state_of = dict(zip(codes, _decode(domains, on_cycle)))
     attractors = []
     for k in codes:
         cycle = []
@@ -241,8 +242,7 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
 
 def build_sts(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT) -> TransitionSystem:
     """The full transition system, as successor codes over every state."""
-    free, size = _state_space(graph, state_limit)
-    return TransitionSystem(graph, _successor_codes(graph, free, size))
+    return TransitionSystem(graph, _successor_codes(graph, _domains(graph, state_limit)))
 
 
 def _normalized_state_set(graph, states):

@@ -6,7 +6,8 @@ readings: a path-based one, which is authoritative, and a weaker
 predecessor-only one kept as a diagnostic.  The constructive side builds a
 witness attractor by freezing every vertex that the phenotype forces to -1
 and simulating from there.  Both assume an unclamped graph; for clamped
-graphs use the exhaustive :func:`attractors_with_phenotype`.
+graphs use the exhaustive :func:`attractors_with_phenotype`, which walks
+only the states where the targets hold.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import RegulatoryGraph, TernaryState, _state_values
-from .dynamics import DEFAULT_STATE_LIMIT, Attractor, enumerate_attractors, simulate
+from .dynamics import DEFAULT_STATE_LIMIT, Attractor, enumerate_attractors, is_trap_set, simulate
 from .errors import SRGError, UnsupportedGraphError
 
 log = logging.getLogger(__name__)
@@ -101,10 +102,6 @@ class Witness:
 def _resolve_targets(graph, phenotype):
     resolved = {graph.index_of(name): value for name, value in phenotype.items()}
     return dict(sorted(resolved.items()))
-
-
-def _carries(attractor, required):
-    return all(s[i] == v for s in attractor.states for i, v in required.items())
 
 
 def activation_reachable(graph: RegulatoryGraph, sources, direction="forward"):
@@ -262,20 +259,20 @@ def phenotype_witness(graph: RegulatoryGraph, phenotype: Phenotype, completion=-
     fill = _state_values(graph, completion)
     start = TernaryState(marked.get(i, fill[i]) for i in range(graph.n))
     attractor = simulate(graph, start).attractor()
-    if not _carries(attractor, required):
+    if any(s[i] != v for s in attractor.states for i, v in required.items()):
         raise SRGError("witness attractor dropped the phenotype; marking closure is broken")
     return Witness(admissible=True, marking=marking, start=start, attractor=attractor)
 
 
 def attractors_with_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, state_limit=DEFAULT_STATE_LIMIT):
-    """Exhaustive filter: the attractors whose every state matches `phenotype`.
+    """Exhaustive oracle: the attractors whose every state matches `phenotype`.
 
-    Unlike the wiring-based decision this works on clamped graphs, at the
-    cost of enumerating the clamp-consistent state space.
+    Pinning the targets as clamps walks only the subspace S where they hold,
+    so `state_limit` counts S.  A cycle of `graph` inside S is a cycle of the
+    pinned graph; a pinned cycle closed under `graph`'s step is one of `graph`.
     """
     required = _resolve_targets(graph, phenotype)
-    return [
-        attractor
-        for attractor in enumerate_attractors(graph, state_limit)
-        if _carries(attractor, required)
-    ]
+    if any(graph.clamps.get(i, v) != v for i, v in required.items()):
+        return []
+    pinned = graph.with_clamps(required)
+    return [a for a in enumerate_attractors(pinned, state_limit) if is_trap_set(graph, a.states)]

@@ -1,6 +1,7 @@
 """The two-bit Boolean re-encoding and its commuting-square checks."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -183,6 +184,32 @@ class TestCommutingSquare:
         assert not report.ok
         assert report.states_checked == 1
         assert report.invalid_codes == 1
+
+    def test_exhaustive_check_streams_its_states(self, monkeypatch):
+        """A failure at the first state is found before the rest of 3^12 exist."""
+        import srg.boolenc as boolenc
+
+        real = boolenc.encode_network
+
+        def broken_encoder(graph):
+            network = real(graph)
+            rules = tuple(
+                BitRule(r.target, constant=True) if r.target in ("v0_on", "v0_off") else r
+                for r in network.rules
+            )
+            return BooleanNetwork(network.vertex_names, network.variables, rules)
+
+        monkeypatch.setattr(boolenc, "encode_network", broken_encoder)
+        graph = random_graph(random.Random(12), n=12, density=0.3)
+        tracemalloc.start()
+        try:
+            report = boolenc.check_simulation_equivalence(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.ok
+        assert report.states_checked == 1
+        assert peak < 2 * 2 ** 20
 
     def test_sample_count_validated(self, fig1a):
         with pytest.raises(ValueError):

@@ -159,6 +159,13 @@ class TestPhenotypeCommands:
         assert report["result"]["admissible"] is True
         assert len(report["result"]["attractors"]) == 15
 
+    def test_oracle_limit_counts_the_pinned_space(self, capsys):
+        target = ["--target", "FOXO3=-1,AKT=1", "--mode", "oracle"]
+        code, out, _ = run(capsys, "phenotype", "check", "mapk", *target, "--limit", "81")
+        assert code == 0
+        assert out.startswith("15 matching attractors")
+        assert run(capsys, "attractors", "mapk", "--limit", "81")[0] == 3
+
     def test_paths_mode_on_clamped_graph_exits_2(self, capsys):
         code, _, err = run(capsys, "phenotype", "check", "mapk", "--target", "FOXO3=1")
         assert code == 2

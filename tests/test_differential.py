@@ -3,7 +3,9 @@
 The scalar `step`, the rule rebuilt from the regulator sets, the vectorized
 transition system and the two-bit Boolean network each compute the same
 successor; the wiring-based `paths` decision must match the exhaustive
-oracle.  Hypothesis shrinks any disagreement to a minimal graph.
+oracle, and the oracle, which walks only the states where the targets hold,
+must match a filter over every attractor.  Hypothesis shrinks any
+disagreement to a minimal graph.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from srg import (
     decode_state,
     encode_network,
     encode_state,
+    enumerate_attractors,
     step,
 )
 
@@ -68,3 +71,18 @@ def test_paths_decision_matches_oracle(data):
     phenotype = Phenotype(data.draw(targets))
     decision = decide_phenotype(graph, phenotype)
     assert decision.admissible == bool(attractors_with_phenotype(graph, phenotype))
+
+
+@PROPERTY
+@given(st.data())
+def test_pinned_oracle_matches_full_space_filter(data):
+    # targets come from every vertex, so some fall on clamps of either value
+    graph = data.draw(graphs(clamped=True))
+    targets = st.dictionaries(st.sampled_from(graph.vertices), st.sampled_from((-1, 1)), min_size=1)
+    phenotype = Phenotype(data.draw(targets))
+    required = {graph.index_of(name): v for name, v in phenotype.items()}
+    expected = [
+        a for a in enumerate_attractors(graph)
+        if all(s[i] == v for s in a.states for i, v in required.items())
+    ]
+    assert attractors_with_phenotype(graph, phenotype) == expected

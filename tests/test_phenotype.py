@@ -10,6 +10,7 @@ from srg import (
     Phenotype,
     RegulatoryGraph,
     SRGError,
+    StateSpaceLimitError,
     TernaryState,
     Trajectory,
     UnknownVertexError,
@@ -17,6 +18,7 @@ from srg import (
     activation_reachable,
     attractors_with_phenotype,
     decide_phenotype,
+    enumerate_attractors,
     phenotype_witness,
     simulate,
 )
@@ -242,6 +244,22 @@ class TestOracle:
     def test_unknown_target(self, mapk):
         with pytest.raises(UnknownVertexError):
             attractors_with_phenotype(mapk, Phenotype({"Q": 1}))
+
+    def test_limit_counts_the_pinned_space(self, mapk):
+        # 3^6 clamp-consistent states, 3^4 once FOXO3 and AKT are pinned
+        phenotype = Phenotype({"FOXO3": -1, "AKT": 1})
+        with pytest.raises(StateSpaceLimitError):
+            enumerate_attractors(mapk, state_limit=81)
+        pinned = attractors_with_phenotype(mapk, phenotype, state_limit=81)
+        assert pinned == attractors_with_phenotype(mapk, phenotype)
+        with pytest.raises(StateSpaceLimitError):
+            attractors_with_phenotype(mapk, phenotype, state_limit=80)
+
+    def test_target_on_a_clamped_vertex(self, mapk):
+        # mapk clamps RTK to -1
+        same = attractors_with_phenotype(mapk, Phenotype({"RTK": -1, "AKT": 1}))
+        assert same == attractors_with_phenotype(mapk, Phenotype({"AKT": 1}))
+        assert attractors_with_phenotype(mapk, Phenotype({"RTK": 1}), state_limit=1) == []
 
 
 class TestAgreementProperties:
