@@ -30,6 +30,11 @@ from .errors import StateSpaceLimitError, StepBudgetError
 # reachable states; this caps that count, not 3^n.
 DEFAULT_STATE_LIMIT = 3 ** 14
 
+# States per block wherever a whole space is streamed: the Boolean
+# cross-check's value columns and the lines of `sts` text.
+_BLOCK_STATES = 1 << 14
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A simulated run split at the first recurrence: transient, then cycle."""
@@ -153,26 +158,61 @@ def _max_at(columns, regulators):
     return functools.reduce(np.maximum, (columns[u] for u in regulators), np.int8(-1))
 
 
+def _moves(graph, columns, i):
+    """(up, down): the rows where free vertex i steps to 1 and to -1.
+
+    Every other row steps it to 0; the two masks never overlap.
+    """
+    act = _max_at(columns, graph.activation_in[i])
+    inh = _max_at(columns, graph.inhibition_in[i])
+    cur = columns[i]
+    # Up: an active activator (or itself) and no inhibitor at 0 or 1.
+    up = (np.maximum(act, cur) == 1) & (inh < 0)
+    # Down: an active inhibitor (or itself at -1) and no activator at 0 or 1.
+    down = ((inh == 1) | (cur == -1)) & (act < 0)
+    return up, down
+
+
+def _free_strides(domains):
+    """(free vertex, code stride) pairs, first free vertex most significant."""
+    free = [i for i, d in enumerate(domains) if len(d) == 3]
+    return [(i, 3 ** (len(free) - 1 - j)) for j, i in enumerate(free)]
+
+
 def _successor_codes(graph, domains):
     """The successor code of every code, by the unanimous rule."""
-    free = [i for i, d in enumerate(domains) if len(d) == 3]
-    size = 3 ** len(free)
+    strides = _free_strides(domains)
+    size = 3 ** len(strides)
     columns = dict(graph.clamps)
-    strides = [3 ** (len(free) - 1 - j) for j in range(len(free))]
     digits = np.arange(-1, 2, dtype=np.int8)
-    for i, stride in zip(free, strides):
+    for i, stride in strides:
         columns[i] = np.tile(np.repeat(digits, stride), size // (3 * stride))
     # Start every successor at the all-ambiguous code, then move each digit.
     succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
-    for i, stride in zip(free, strides):
-        act = _max_at(columns, graph.activation_in[i])
-        inh = _max_at(columns, graph.inhibition_in[i])
-        cur = columns[i]
-        # Up: an active activator (or itself) and no inhibitor at 0 or 1.
-        np.add(succ, stride, out=succ, where=(np.maximum(act, cur) == 1) & (inh < 0))
-        # Down: an active inhibitor (or itself at -1) and no activator at 0 or 1.
-        np.subtract(succ, stride, out=succ, where=((inh == 1) | (cur == -1)) & (act < 0))
+    for i, stride in strides:
+        up, down = _moves(graph, columns, i)
+        np.add(succ, stride, out=succ, where=up)
+        np.subtract(succ, stride, out=succ, where=down)
     return succ
+
+
+def _blocks(graph, state_limit):
+    """The clamp-consistent space in code order, as (columns, rows) blocks.
+
+    Each block holds at most _BLOCK_STATES consecutive codes: a free
+    vertex's column is its int8 values over those codes, a clamped
+    vertex's is its clamp value.
+    """
+    strides = _free_strides(_domains(graph, state_limit))
+    size = 3 ** len(strides)
+    for lo in range(0, size, _BLOCK_STATES):
+        codes = np.arange(lo, min(lo + _BLOCK_STATES, size), dtype=_code_dtype(size))
+        columns = dict(graph.clamps)
+        for i, stride in strides:
+            # The digit is q % 3, written without numpy's slow integer remainder.
+            q = codes // stride
+            columns[i] = (q - q // 3 * 3 - 1).astype(np.int8)
+        yield columns, len(codes)
 
 
 def _peel(succ):

@@ -22,7 +22,7 @@ from importlib import resources
 
 from .boolenc import EquivalenceReport
 from .core import _NAME, RegulatoryGraph, TernaryState, _state_values
-from .dynamics import Attractor, Trajectory, TransitionSystem
+from .dynamics import _BLOCK_STATES, Attractor, Trajectory, TransitionSystem
 from .errors import ParseError, UnknownVertexError
 from .phenotype import Phenotype, PhenotypeDecision, Witness
 
@@ -178,9 +178,6 @@ def _graph_dot(graph):
         lines.append(f'  "{src}" -> "{dst}" [arrowhead={head}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_BLOCK_STATES = 1 << 14  # states per yielded block of transition text
 
 
 def transition_lines(sts: TransitionSystem, dot: bool):

@@ -1,8 +1,18 @@
 """Shared test machinery: state-space walks, random corpora, brute-force oracle."""
 
 import itertools
+import random
 
-from srg import Phenotype, RegulatoryGraph, TernaryState, simulate, step
+from srg import (
+    EquivalenceReport,
+    Phenotype,
+    RegulatoryGraph,
+    TernaryState,
+    bn_step,
+    encode_state,
+    simulate,
+    step,
+)
 
 
 def clamp_consistent_states(graph):
@@ -39,6 +49,26 @@ def reference_sts_dot(graph):
     lines += [f'  "{s!r}" -> "{step(graph, s)!r}";' for s in states]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def scalar_equivalence(graph, network, pool):
+    """The commuting-square check one state at a time, by the scalar `step`
+    and `bn_step`: the reference for `check_simulation_equivalence`."""
+    checked = 0
+    for state in pool:
+        expected = step(graph, state)
+        got = bn_step(network, encode_state(state))
+        checked += 1
+        if got != encode_state(expected):
+            invalid = sum(on and off for on, off in zip(got[::2], got[1::2]))
+            return EquivalenceReport(False, checked, (state, expected, got), invalid)
+    return EquivalenceReport(True, checked, None, 0)
+
+
+def sampled_states(graph, samples, seed):
+    """The states `check_simulation_equivalence(graph, samples, seed=seed)` draws."""
+    rng = random.Random(seed)
+    return (random_state(rng, graph) for _ in range(samples))
 
 
 def random_graph(rng, n=None, density=0.2, clamp_chance=0.0):

@@ -22,7 +22,7 @@ from srg import (
     to_boolnet,
 )
 
-from helpers import clamp_consistent_states, random_graph
+from helpers import clamp_consistent_states, random_graph, scalar_equivalence
 
 
 def rule_by_target(network, target):
@@ -210,6 +210,41 @@ class TestCommutingSquare:
         assert not report.ok
         assert report.states_checked == 1
         assert peak < 2 * 2 ** 20
+
+    def test_counterexample_past_the_first_block(self, monkeypatch):
+        """The count of a failure in a later block includes the blocks before it."""
+        import srg.boolenc as boolenc
+
+        base = random_graph(random.Random(10), n=10, density=0.3)
+        # v0 has no regulators, so v0_on stays set exactly where v0 = 1:
+        # from code 2 * 3^9 on, past the first two blocks of 2^14 codes.
+        edges = [(src, sign, dst) for src, sign, dst in base.edges() if dst != "v0"]
+        graph = RegulatoryGraph(
+            base.vertices,
+            [(src, dst) for src, sign, dst in edges if sign == "+"],
+            [(src, dst) for src, sign, dst in edges if sign == "-"],
+        )
+        real = encode_network(graph)
+        rules = tuple(
+            BitRule("v0_on", constant=False) if r.target == "v0_on" else r for r in real.rules
+        )
+        network = BooleanNetwork(real.vertex_names, real.variables, rules)
+        monkeypatch.setattr(boolenc, "encode_network", lambda g: network)
+        report = boolenc.check_simulation_equivalence(graph)
+        assert report.states_checked == 2 * 3 ** 9 + 1
+        assert report == scalar_equivalence(graph, network, clamp_consistent_states(graph))
+
+    def test_exhaustive_check_memory_is_bounded_by_the_block(self):
+        """A passing check of 3^12 states never holds columns over the whole space."""
+        graph = random_graph(random.Random(12), n=12, density=0.3)
+        tracemalloc.start()
+        try:
+            report = check_simulation_equivalence(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.states_checked == 3 ** 12
+        assert peak < 4 * 2 ** 20
 
     def test_sample_count_validated(self, fig1a):
         with pytest.raises(ValueError):

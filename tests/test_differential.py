@@ -2,21 +2,28 @@
 
 The scalar `step`, the rule rebuilt from the regulator sets, the vectorized
 transition system and the two-bit Boolean network each compute the same
-successor; the wiring-based `paths` decision must match the exhaustive
-oracle, and the oracle, which walks only the states where the targets hold,
-must match a filter over every attractor.  Hypothesis shrinks any
-disagreement to a minimal graph.
+successor; the batched Boolean cross-check must report what a state-by-state
+loop over the scalar engines reports, for correct and tampered encodings; the
+wiring-based `paths` decision must match the exhaustive oracle, and the
+oracle, which walks only the states where the targets hold, must match a
+filter over every attractor.  Hypothesis shrinks any disagreement to a
+minimal graph.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import srg.boolenc as boolenc
 from srg import (
+    BitRule,
+    BooleanNetwork,
     Phenotype,
     RegulatoryGraph,
     apply_clamps,
     attractors_with_phenotype,
     bn_step,
     build_sts,
+    check_simulation_equivalence,
     decide_phenotype,
     decode_state,
     encode_network,
@@ -25,6 +32,7 @@ from srg import (
     step,
 )
 
+from helpers import clamp_consistent_states, sampled_states, scalar_equivalence
 from test_core import rule_value
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -61,6 +69,38 @@ def test_successor_engines_agree(data):
         assert rebuilt == expected
         assert sts.successor_of(state) == expected
         assert decode_state(bn_step(network, encode_state(state))) == expected
+
+
+@st.composite
+def tampered_networks(draw, graph):
+    """`encode_network(graph)` with one rule replaced, or left as it is."""
+    network = encode_network(graph)
+    k = draw(st.integers(0, len(network.rules) - 1))
+    target = network.rules[k].target
+    terms = st.lists(st.sampled_from(network.variables), max_size=3).map(tuple)
+    rule = draw(st.one_of(
+        st.just(BitRule(target, (target,), ())),
+        st.builds(BitRule, st.just(target), constant=st.booleans()),
+        st.builds(BitRule, st.just(target), terms, terms),
+        st.just(network.rules[k]),
+    ))
+    rules = network.rules[:k] + (rule,) + network.rules[k + 1:]
+    return BooleanNetwork(network.vertex_names, network.variables, rules)
+
+
+@PROPERTY
+@given(st.data())
+def test_batched_cross_check_matches_scalar_loop(data):
+    graph = data.draw(graphs(clamped=True))
+    network = data.draw(tampered_networks(graph))
+    samples = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 10 ** 6))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boolenc, "encode_network", lambda g: network)
+        exhaustive = check_simulation_equivalence(graph)
+        sampled = check_simulation_equivalence(graph, samples=samples, seed=seed)
+    assert exhaustive == scalar_equivalence(graph, network, clamp_consistent_states(graph))
+    assert sampled == scalar_equivalence(graph, network, sampled_states(graph, samples, seed))
 
 
 @PROPERTY
