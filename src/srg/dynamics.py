@@ -4,14 +4,17 @@ The synchronous rule makes the state space a functional graph: every state
 has exactly one successor, so the attractors are exactly the cycles.
 Enumeration works on state codes: mixed-radix base 3 over the unclamped
 vertices, first vertex most significant, so code order is the lexicographic
-order of the state tuples.  Each free vertex's digits form an int8 column
-(clamped vertices are constants); the rule runs column by column into one
+order of the state tuples.  One stream walks the codes in digit-aligned
+blocks of 3^9, each the codes that share their leading digits: the trailing
+free vertices are int8 columns built once, the leading and clamped ones
+scalars.  The successor kernel, the Boolean cross-check and `sts` text all
+read it.  The rule runs column by column into each block's slice of one
 array of successor codes; peeling nodes of in-degree 0, one round per step
 of the longest transient, leaves the cycle nodes; walking those in
 ascending code order starts each attractor at its least state and yields a
 sorted list.  Only cycle states are decoded.  At 3^14 states (a random
 14-vertex graph of density 0.16) enumeration takes about 1 s and the whole
-process peaks near 195 MB on a 2-core Xeon.
+process peaks near 214 MB on a 2-core Xeon, set by the peeling.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .errors import StateSpaceLimitError, StepBudgetError
 # reachable states; this caps that count, not 3^n.
 DEFAULT_STATE_LIMIT = 3 ** 14
 
-# States per block wherever a whole space is streamed: the Boolean
-# cross-check's value columns and the lines of `sts` text.
-_BLOCK_STATES = 1 << 14
+# A block fixes the leading free digits and varies the last _TAIL_DIGITS.
+_TAIL_DIGITS = 9
+_BLOCK_STATES = 3 ** _TAIL_DIGITS
 
 
 @dataclass(frozen=True)
@@ -179,40 +182,38 @@ def _free_strides(domains):
     return [(i, 3 ** (len(free) - 1 - j)) for j, i in enumerate(free)]
 
 
-def _successor_codes(graph, domains):
-    """The successor code of every code, by the unanimous rule."""
-    strides = _free_strides(domains)
-    size = 3 ** len(strides)
-    columns = dict(graph.clamps)
-    digits = np.arange(-1, 2, dtype=np.int8)
-    for i, stride in strides:
-        columns[i] = np.tile(np.repeat(digits, stride), size // (3 * stride))
-    # Start every successor at the all-ambiguous code, then move each digit.
-    succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
-    for i, stride in strides:
-        up, down = _moves(graph, columns, i)
-        np.add(succ, stride, out=succ, where=up)
-        np.subtract(succ, stride, out=succ, where=down)
-    return succ
-
-
 def _blocks(graph, state_limit):
     """The clamp-consistent space in code order, as (columns, rows) blocks.
 
-    Each block holds at most _BLOCK_STATES consecutive codes: a free
-    vertex's column is its int8 values over those codes, a clamped
-    vertex's is its clamp value.
+    A block is every code that shares the leading free digits: a trailing
+    free vertex's column is its int8 values over the block, a leading one's
+    is one int8 value and a clamped vertex's is its clamp value.
     """
     strides = _free_strides(_domains(graph, state_limit))
+    lead = [i for i, _ in strides[:-_TAIL_DIGITS]]
+    tail = strides[-_TAIL_DIGITS:]
+    rows = 3 ** len(tail)
+    digits = np.arange(-1, 2, dtype=np.int8)
+    columns = dict(graph.clamps)
+    for i, stride in tail:
+        columns[i] = np.tile(np.repeat(digits, stride), rows // (3 * stride))
+    for values in itertools.product(digits, repeat=len(lead)):
+        yield {**columns, **dict(zip(lead, values))}, rows
+
+
+def _successor_codes(graph, state_limit):
+    """The successor code of every code, by the unanimous rule."""
+    strides = _free_strides(_domains(graph, state_limit))
     size = 3 ** len(strides)
-    for lo in range(0, size, _BLOCK_STATES):
-        codes = np.arange(lo, min(lo + _BLOCK_STATES, size), dtype=_code_dtype(size))
-        columns = dict(graph.clamps)
+    # Start every successor at the all-ambiguous code, then move each digit.
+    succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
+    for k, (columns, rows) in enumerate(_blocks(graph, state_limit)):
+        out = succ[k * rows:(k + 1) * rows]
         for i, stride in strides:
-            # The digit is q % 3, written without numpy's slow integer remainder.
-            q = codes // stride
-            columns[i] = (q - q // 3 * 3 - 1).astype(np.int8)
-        yield columns, len(codes)
+            up, down = _moves(graph, columns, i)
+            np.add(out, stride, out=out, where=up)
+            np.subtract(out, stride, out=out, where=down)
+    return succ
 
 
 def _peel(succ):
@@ -264,7 +265,7 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`.
     """
     domains = _domains(graph, state_limit)
-    succ = _successor_codes(graph, domains)
+    succ = _successor_codes(graph, state_limit)
     on_cycle, _ = _peel(succ)
     codes = on_cycle.tolist()
     nxt = dict(zip(codes, succ[on_cycle].tolist()))
@@ -282,7 +283,7 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
 
 def build_sts(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT) -> TransitionSystem:
     """The full transition system, as successor codes over every state."""
-    return TransitionSystem(graph, _successor_codes(graph, _domains(graph, state_limit)))
+    return TransitionSystem(graph, _successor_codes(graph, state_limit))
 
 
 def _normalized_state_set(graph, states):

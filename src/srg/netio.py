@@ -22,7 +22,7 @@ from importlib import resources
 
 from .boolenc import EquivalenceReport
 from .core import _NAME, RegulatoryGraph, TernaryState, _state_values
-from .dynamics import _BLOCK_STATES, Attractor, Trajectory, TransitionSystem
+from .dynamics import _TAIL_DIGITS, Attractor, Trajectory, TransitionSystem, _free_strides
 from .errors import ParseError, UnknownVertexError
 from .phenotype import Phenotype, PhenotypeDecision, Witness
 
@@ -183,31 +183,26 @@ def _graph_dot(graph):
 def transition_lines(sts: TransitionSystem, dot: bool):
     """One "state -> successor" line per state in canonical order, or DOT.
 
-    Yielded in blocks of whole lines, so the text is never in memory at once.
-    The label of code c is heads[c // width] + tails[c % width]: the tails
-    cover the trailing vertices whose states fit in one block, the heads the
-    rest, so neither table grows with the state count.
+    Yielded in the state stream's blocks, so the text is never in memory at
+    once.  The tails cover the vertices that vary within a block, the heads
+    the rest: code c is heads[c // width] + tails[c % width].
     """
     quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
     digits = [tuple(str(v) for v in domain) for domain in sts.domains]
-    split, width = len(digits), 1
-    while split and width * len(digits[split - 1]) <= _BLOCK_STATES:
-        split -= 1
-        width *= len(digits[split])
+    lead = _free_strides(sts.domains)[:-_TAIL_DIGITS]
+    split = lead[-1][0] + 1 if lead else 0
     heads = [quote + "(" + "".join(d + "," for d in p) for p in itertools.product(*digits[:split])]
     tails = [",".join(p) + ")" + quote for p in itertools.product(*digits[split:])]
-    total = len(sts)
+    width = len(tails)
     if dot:
         yield "digraph state_transitions {\n"
-        for lo in range(0, total, _BLOCK_STATES):
-            codes = range(lo, min(lo + _BLOCK_STATES, total))
-            yield "".join([f"  {heads[c // width]}{tails[c % width]};\n" for c in codes])
-    for lo in range(0, total, _BLOCK_STATES):
-        pairs = zip(range(lo, total), sts.successor[lo:lo + _BLOCK_STATES].tolist())
+        for head in heads:
+            yield "".join([f"  {head}{tail};\n" for tail in tails])
+    for k, head in enumerate(heads):
+        pairs = zip(tails, sts.successor[k * width:(k + 1) * width].tolist())
         yield "".join([
-            f"{indent}{heads[a // width]}{tails[a % width]}"
-            f" -> {heads[b // width]}{tails[b % width]}{end}"
-            for a, b in pairs
+            f"{indent}{head}{tail} -> {heads[b // width]}{tails[b % width]}{end}"
+            for tail, b in pairs
         ])
     if dot:
         yield "}\n"

@@ -217,7 +217,7 @@ class TestCommutingSquare:
 
         base = random_graph(random.Random(10), n=10, density=0.3)
         # v0 has no regulators, so v0_on stays set exactly where v0 = 1:
-        # from code 2 * 3^9 on, past the first two blocks of 2^14 codes.
+        # from code 2 * 3^9 on, the first code of the third block of 3^9.
         edges = [(src, sign, dst) for src, sign, dst in base.edges() if dst != "v0"]
         graph = RegulatoryGraph(
             base.vertices,

@@ -135,6 +135,15 @@ class TestGraphAndSts:
         path = tmp_path / "clamped11.srg"
         graphs[str(path)] = random_graph(rng, n=11, density=0.03).with_clamps({"v0": 1, "v6": -1})
         path.write_text(serialize_network(graphs[str(path)]))
+        # The two graphs above fit one block of 3^9 states; these 3^10 ones
+        # take three, with three label heads and block boundaries between them.
+        path = tmp_path / "sparse10.srg"
+        graphs[str(path)] = random_graph(rng, n=10, density=0.03)
+        path.write_text(serialize_network(graphs[str(path)]))
+        # v0 is clamped within the heads, v6 within the tails
+        path = tmp_path / "clamped12.srg"
+        graphs[str(path)] = random_graph(rng, n=12, density=0.03).with_clamps({"v0": 1, "v6": -1})
+        path.write_text(serialize_network(graphs[str(path)]))
         for source, graph in graphs.items():
             assert run(capsys, "sts", source) == (0, reference_sts_text(graph), "")
             assert run(capsys, "sts", source, "--dot") == (0, reference_sts_dot(graph), "")

@@ -20,7 +20,7 @@ from srg import (
     step,
     update_vertex,
 )
-from srg.dynamics import _code_dtype, _peel
+from srg.dynamics import _BLOCK_STATES, _blocks, _code_dtype, _peel
 
 from helpers import brute_force_attractors, clamp_consistent_states, random_graph
 
@@ -243,6 +243,19 @@ class TestKernel:
             assert len(succ) == len(states)
             for state, k in zip(states, succ.tolist()):
                 assert states[k] == step(graph, state)
+
+    def test_successor_codes_match_scalar_step_across_blocks(self):
+        # 10 free vertices: v0 is the leading digit of three 3^9-state
+        # blocks, and the clamps sit at the block split and in the tail.
+        graph = random_graph(random.Random(5), n=12, density=0.3)
+        graph = graph.with_clamps({"v1": 1, "v8": -1})
+        # Each block is a fresh dict: v0's value survives the next block.
+        assert [columns[0] for columns, _ in list(_blocks(graph, 3 ** 10))] == [-1, 0, 1]
+        states = list(clamp_consistent_states(graph))
+        succ = build_sts(graph).successor
+        assert len(succ) == len(states) == 3 * _BLOCK_STATES
+        for state, k in zip(states, succ.tolist()):
+            assert states[k] == step(graph, state)
 
     def test_attractors_match_oracle(self):
         for graph in kernel_corpus() + edge_case_graphs():
