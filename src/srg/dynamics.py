@@ -9,12 +9,14 @@ blocks of 3^9, each the codes that share their leading digits: the trailing
 free vertices are int8 columns built once, the leading and clamped ones
 scalars.  The successor kernel, the Boolean cross-check and `sts` text all
 read it.  The rule runs column by column into each block's slice of one
-array of successor codes; peeling nodes of in-degree 0, one round per step
-of the longest transient, leaves the cycle nodes; walking those in
-ascending code order starts each attractor at its least state and yields a
-sorted list.  Only cycle states are decoded.  At 3^14 states (a random
-14-vertex graph of density 0.16) enumeration takes about 1 s and the whole
-process peaks near 214 MB on a 2-core Xeon, set by the peeling.
+array of successor codes; taking the image of the space until it stops
+shrinking, one round per step of the longest transient, leaves the cycle
+nodes in one bool mask; walking those in ascending code order starts each
+attractor at its least state and yields a sorted list.  Only cycle states
+are decoded.  At 3^14 states (a random 14-vertex graph of density 0.16)
+enumeration takes about 0.5 s and the whole process peaks near 52 MB on a
+2-core Xeon: numpy, then 5 bytes a state for the int32 successor codes and
+the mask.
 """
 
 from __future__ import annotations
@@ -217,21 +219,21 @@ def _successor_codes(graph, state_limit):
 
 
 def _peel(succ):
-    """The cycle codes in ascending order, and the number of peeling rounds.
+    """The cycle codes in ascending order, and the longest transient's length.
 
-    Repeatedly removes the nodes of in-degree 0; each round costs time in
-    proportion to its frontier, and the rounds number the longest transient.
+    Images of the space, held in one bool mask, shrink to the cycles in one
+    round per transient step; beside `succ`, only arrays over the image live.
     """
-    indegree = np.bincount(succ, minlength=len(succ))
-    frontier = np.flatnonzero(indegree == 0)
-    rounds = 0
-    while frontier.size:
-        rounds += 1
-        targets = succ[frontier]
-        np.subtract.at(indegree, targets, 1)
-        freed = np.sort(targets[indegree[targets] == 0])
-        frontier = freed[np.diff(freed, prepend=-1) != 0]
-    return np.flatnonzero(indegree), rounds
+    image = np.zeros(len(succ), dtype=bool)
+    image[succ] = True
+    live, size, rounds = np.flatnonzero(image), len(succ), 0
+    while live.size < size:
+        size, rounds = live.size, rounds + 1
+        image[live] = False
+        live = succ[live]
+        image[live] = True
+        live = np.flatnonzero(image)
+    return live, rounds
 
 
 def _decode(domains, codes):

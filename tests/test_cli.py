@@ -126,12 +126,12 @@ class TestGraphAndSts:
             graph = random_graph(rng, density=0.3, clamp_chance=0.25)
             path.write_text(serialize_network(graph))
             graphs[str(path)] = graph
-        # 3^9 states: more than one block of transition text, and a partial one
+        # 3^9 states: exactly one block of transition text, with one label head
         path = tmp_path / "sparse9.srg"
         graphs[str(path)] = random_graph(rng, n=9, density=0.03)
         path.write_text(serialize_network(graphs[str(path)]))
-        # 3^9 states over 11 vertices: the leading vertices, one of them
-        # clamped, index a table of several label heads
+        # 3^9 states over 11 vertices, two of them clamped: still one block,
+        # whose one label head is empty, so both clamps sit in the tails
         path = tmp_path / "clamped11.srg"
         graphs[str(path)] = random_graph(rng, n=11, density=0.03).with_clamps({"v0": 1, "v6": -1})
         path.write_text(serialize_network(graphs[str(path)]))

@@ -29,8 +29,10 @@ from srg import (
     encode_network,
     encode_state,
     enumerate_attractors,
+    simulate,
     step,
 )
+from srg.dynamics import _peel
 
 from helpers import clamp_consistent_states, sampled_states, scalar_equivalence
 from test_core import rule_value
@@ -101,6 +103,17 @@ def test_batched_cross_check_matches_scalar_loop(data):
         sampled = check_simulation_equivalence(graph, samples=samples, seed=seed)
     assert exhaustive == scalar_equivalence(graph, network, clamp_consistent_states(graph))
     assert sampled == scalar_equivalence(graph, network, sampled_states(graph, samples, seed))
+
+
+@PROPERTY
+@given(graphs(clamped=True))
+def test_cycle_codes_match_attractors_and_transients(graph):
+    states = list(clamp_consistent_states(graph))
+    code_of = {s: k for k, s in enumerate(states)}
+    codes, rounds = _peel(build_sts(graph).successor)
+    on_cycles = sorted(code_of[s] for a in enumerate_attractors(graph) for s in a.states)
+    assert codes.tolist() == on_cycles
+    assert rounds == max(len(simulate(graph, s).transient) for s in states)
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Trajectories, attractor enumeration, trap sets, transition systems."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,19 @@ class TestKernel:
         _, rounds = _peel(build_sts(graph).successor)
         assert rounds == 13
         assert enumerate_attractors(graph) == chain_fixed_points(graph)
+
+    def test_cycle_finding_memory_is_bounded_by_the_successor_array(self):
+        """Beside the successors, finding the cycles of 3^12 states holds
+        under 4 bytes per state: no in-degree counts over the space."""
+        for graph in (random_graph(random.Random(16), n=12, density=0.16), chain(12)):
+            succ = build_sts(graph).successor
+            tracemalloc.start()
+            try:
+                _peel(succ)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * len(succ)
 
     def test_chain_oracle_agrees_with_brute_force(self):
         graph = chain(6)
