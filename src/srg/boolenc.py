@@ -8,21 +8,17 @@ encoding.  This gives an independent evaluator to cross-check the ternary
 engine against, plus an export path to BoolNet-style rule files.
 
 The cross-check evaluates the bit rules over blocks of states at once and
-compares each rule with the kernel's move of its vertex; the scalar `step`
-and `bn_step` only rebuild a counterexample.
+compares each rule with the kernel's move of its vertex, in `srg._kernel`,
+which it imports on first use; the scalar `step` and `bn_step` only rebuild
+a counterexample.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
-import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import RegulatoryGraph, TernaryState, apply_clamps, step
-from .dynamics import _BLOCK_STATES, DEFAULT_STATE_LIMIT, _blocks, _moves
+from .core import RegulatoryGraph, TernaryState, step
+from .dynamics import DEFAULT_STATE_LIMIT, _domains
 from .errors import InvalidCodeError
 
 
@@ -161,42 +157,6 @@ class EquivalenceReport:
     invalid_codes: int
 
 
-def _evaluate(rule, bits):
-    """A bit rule over columns of bits; scalar bits and constants broadcast."""
-    if rule.constant is not None:
-        return rule.constant
-    either = functools.reduce(operator.or_, (bits[t] for t in rule.or_terms), False)
-    return functools.reduce(operator.and_, (bits[t] for t in rule.and_terms), either)
-
-
-def _mismatches(graph, network, columns, rows):
-    """Per row, whether some bit rule disagrees with its vertex's next value.
-
-    The next value is the kernel's move of a free vertex, or its clamp.
-    """
-    bits, expected = {}, {}
-    for i, (on, off) in enumerate(zip(network.variables[::2], network.variables[1::2])):
-        bits[on], bits[off] = columns[i] == 1, columns[i] == -1
-        if i in graph.clamps:
-            expected[on], expected[off] = graph.clamps[i] == 1, graph.clamps[i] == -1
-        else:
-            expected[on], expected[off] = _moves(graph, columns, i)
-    bad = np.zeros(rows, dtype=bool)
-    for rule in network.rules:
-        bad |= _evaluate(rule, bits) != expected[rule.target]
-    return bad
-
-
-def _sampled_blocks(graph, samples, seed):
-    """`samples` random clamp-consistent states drawn from `seed`, as blocks."""
-    rng = random.Random(seed)
-    for lo in range(0, samples, _BLOCK_STATES):
-        rows = min(_BLOCK_STATES, samples - lo)
-        states = [apply_clamps(graph, [rng.choice((-1, 0, 1)) for _ in range(graph.n)])
-                  for _ in range(rows)]
-        yield dict(enumerate(np.array(states, dtype=np.int8).T)), rows
-
-
 def check_simulation_equivalence(
     graph: RegulatoryGraph,
     samples=None,
@@ -215,26 +175,25 @@ def check_simulation_equivalence(
     `bn_step`.  Its (1, 1) pairs are counted; a correct encoding never emits
     any.
     """
-    network = encode_network(graph)
+    # Refuse before encoding the network or loading the kernel.
     if samples is None:
-        blocks = _blocks(graph, state_limit)
+        _domains(graph, state_limit)
     elif samples < 1:
         raise ValueError("samples must be positive")
+    network = encode_network(graph)
+    from ._kernel import _blocks, _first_mismatch, _sampled_blocks
+
+    if samples is None:
+        blocks = _blocks(graph, state_limit)
     else:
         blocks = _sampled_blocks(graph, samples, seed)
-    checked = 0
-    for columns, rows in blocks:
-        failing = np.flatnonzero(_mismatches(graph, network, columns, rows))
-        if failing.size:
-            k = int(failing[0])
-            values = [columns[i] for i in range(graph.n)]
-            state = TernaryState(int(v[k]) if np.ndim(v) else v for v in values)
-            expected = step(graph, state)
-            got = bn_step(network, encode_state(state))
-            invalid = sum(on and off for on, off in zip(got[::2], got[1::2]))
-            return EquivalenceReport(False, checked + k + 1, (state, expected, got), invalid)
-        checked += rows
-    return EquivalenceReport(True, checked, None, 0)
+    checked, state = _first_mismatch(graph, network, blocks)
+    if state is None:
+        return EquivalenceReport(True, checked, None, 0)
+    expected = step(graph, state)
+    got = bn_step(network, encode_state(state))
+    invalid = sum(on and off for on, off in zip(got[::2], got[1::2]))
+    return EquivalenceReport(False, checked, (state, expected, got), invalid)
 
 
 def to_boolnet(network: BooleanNetwork) -> str:

@@ -2,21 +2,16 @@
 
 The synchronous rule makes the state space a functional graph: every state
 has exactly one successor, so the attractors are exactly the cycles.
-Enumeration works on state codes: mixed-radix base 3 over the unclamped
-vertices, first vertex most significant, so code order is the lexicographic
-order of the state tuples.  One stream walks the codes in digit-aligned
-blocks of 3^9, each the codes that share their leading digits: the trailing
-free vertices are int8 columns built once, the leading and clamped ones
-scalars.  The successor kernel, the Boolean cross-check and `sts` text all
-read it.  The rule runs column by column into each block's slice of one
-array of successor codes; taking the image of the space until it stops
-shrinking, one round per step of the longest transient, leaves the cycle
-nodes in one bool mask; walking those in ascending code order starts each
-attractor at its least state and yields a sorted list.  Only cycle states
-are decoded.  At 3^14 states (a random 14-vertex graph of density 0.16)
-enumeration takes about 0.5 s and the whole process peaks near 52 MB on a
-2-core Xeon: numpy, then 5 bytes a state for the int32 successor codes and
-the mask.
+`enumerate_attractors` and `build_sts` check the state limit, then run the
+numpy code kernel in `srg._kernel`, which they import on first use: a step,
+a trajectory or a trap-set test never loads numpy.  The kernel computes the
+successor code of every state in digit-aligned blocks of 3^9 and takes the
+image of the space until it stops shrinking, which leaves the cycle nodes;
+walking those in ascending code order starts each attractor at its least
+state and yields a sorted list.  At 3^14 states (a random 14-vertex graph
+of density 0.16) enumeration takes about 0.5 s and the whole process peaks
+near 52 MB on a 2-core Xeon: numpy, then 5 bytes a state for the int32
+successor codes and the mask.
 """
 
 from __future__ import annotations
@@ -25,8 +20,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .core import RegulatoryGraph, TernaryState, _state_values, apply_clamps, step
 from .errors import StateSpaceLimitError, StepBudgetError
@@ -92,7 +85,7 @@ class TransitionSystem:
     code of its successor.  States are decoded only when asked for.
     """
 
-    def __init__(self, graph: RegulatoryGraph, successor: np.ndarray):
+    def __init__(self, graph: RegulatoryGraph, successor):
         self.graph = graph
         self.successor = successor
         self.domains = _domains(graph, len(successor))
@@ -102,9 +95,10 @@ class TransitionSystem:
         return tuple(_states(self.graph, len(self)))
 
     def successor_of(self, state) -> TernaryState:
+        from ._kernel import _decode
+
         st = _checked_state(self.graph, state)
-        digits = [d.index(v) for d, v in zip(self.domains, st)]
-        code = np.ravel_multi_index(digits, [len(d) for d in self.domains])
+        code = sum((st[i] + 1) * stride for i, stride in _free_strides(self.domains))
         return _decode(self.domains, [self.successor[code]])[0]
 
     def transitions(self):
@@ -148,99 +142,10 @@ def _domains(graph, state_limit):
     return [(graph.clamps[i],) if i in graph.clamps else (-1, 0, 1) for i in range(graph.n)]
 
 
-def _code_dtype(size):
-    """The index type for codes below `size`: int32 while it fits."""
-    return np.int32 if size < 2 ** 31 else np.int64
-
-
-def _max_at(columns, regulators):
-    """Per code, the largest value among `regulators`; -1 when there are none.
-
-    With only clamped regulators, or none, the result is an int8 scalar
-    that broadcasts in the masks.  The masks compare values rather than
-    negate flags: `~` on a Python bool gives -1 or -2, not a logical not.
-    """
-    return functools.reduce(np.maximum, (columns[u] for u in regulators), np.int8(-1))
-
-
-def _moves(graph, columns, i):
-    """(up, down): the rows where free vertex i steps to 1 and to -1.
-
-    Every other row steps it to 0; the two masks never overlap.
-    """
-    act = _max_at(columns, graph.activation_in[i])
-    inh = _max_at(columns, graph.inhibition_in[i])
-    cur = columns[i]
-    # Up: an active activator (or itself) and no inhibitor at 0 or 1.
-    up = (np.maximum(act, cur) == 1) & (inh < 0)
-    # Down: an active inhibitor (or itself at -1) and no activator at 0 or 1.
-    down = ((inh == 1) | (cur == -1)) & (act < 0)
-    return up, down
-
-
 def _free_strides(domains):
     """(free vertex, code stride) pairs, first free vertex most significant."""
     free = [i for i, d in enumerate(domains) if len(d) == 3]
     return [(i, 3 ** (len(free) - 1 - j)) for j, i in enumerate(free)]
-
-
-def _blocks(graph, state_limit):
-    """The clamp-consistent space in code order, as (columns, rows) blocks.
-
-    A block is every code that shares the leading free digits: a trailing
-    free vertex's column is its int8 values over the block, a leading one's
-    is one int8 value and a clamped vertex's is its clamp value.
-    """
-    strides = _free_strides(_domains(graph, state_limit))
-    lead = [i for i, _ in strides[:-_TAIL_DIGITS]]
-    tail = strides[-_TAIL_DIGITS:]
-    rows = 3 ** len(tail)
-    digits = np.arange(-1, 2, dtype=np.int8)
-    columns = dict(graph.clamps)
-    for i, stride in tail:
-        columns[i] = np.tile(np.repeat(digits, stride), rows // (3 * stride))
-    for values in itertools.product(digits, repeat=len(lead)):
-        yield {**columns, **dict(zip(lead, values))}, rows
-
-
-def _successor_codes(graph, state_limit):
-    """The successor code of every code, by the unanimous rule."""
-    strides = _free_strides(_domains(graph, state_limit))
-    size = 3 ** len(strides)
-    # Start every successor at the all-ambiguous code, then move each digit.
-    succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
-    for k, (columns, rows) in enumerate(_blocks(graph, state_limit)):
-        out = succ[k * rows:(k + 1) * rows]
-        for i, stride in strides:
-            up, down = _moves(graph, columns, i)
-            np.add(out, stride, out=out, where=up)
-            np.subtract(out, stride, out=out, where=down)
-    return succ
-
-
-def _peel(succ):
-    """The cycle codes in ascending order, and the longest transient's length.
-
-    Images of the space, held in one bool mask, shrink to the cycles in one
-    round per transient step; beside `succ`, only arrays over the image live.
-    """
-    image = np.zeros(len(succ), dtype=bool)
-    image[succ] = True
-    live, size, rounds = np.flatnonzero(image), len(succ), 0
-    while live.size < size:
-        size, rounds = live.size, rounds + 1
-        image[live] = False
-        live = succ[live]
-        image[live] = True
-        live = np.flatnonzero(image)
-    return live, rounds
-
-
-def _decode(domains, codes):
-    """The TernaryStates of the given codes, in the same order."""
-    digits = np.unravel_index(codes, [len(d) for d in domains])
-    values = np.column_stack([np.asarray(d)[k] for d, k in zip(domains, digits)])
-    return [TernaryState(row) for row in values.tolist()]
 
 
 def _checked_state(graph, state) -> TernaryState:
@@ -267,6 +172,8 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`.
     """
     domains = _domains(graph, state_limit)
+    from ._kernel import _decode, _peel, _successor_codes
+
     succ = _successor_codes(graph, state_limit)
     on_cycle, _ = _peel(succ)
     codes = on_cycle.tolist()
@@ -285,6 +192,9 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
 
 def build_sts(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT) -> TransitionSystem:
     """The full transition system, as successor codes over every state."""
+    _domains(graph, state_limit)  # refuses before the kernel loads numpy
+    from ._kernel import _successor_codes
+
     return TransitionSystem(graph, _successor_codes(graph, state_limit))
 
 

@@ -1,8 +1,12 @@
 """Shared test machinery: state-space walks, random corpora, brute-force oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
+import srg
 from srg import (
     EquivalenceReport,
     Phenotype,
@@ -104,3 +108,31 @@ def random_phenotype(rng, graph, max_targets=None):
     k = rng.randint(1, upper)
     picked = sorted(rng.sample(range(graph.n), k))
     return Phenotype({graph.vertices[i]: rng.choice((-1, 1)) for i in picked})
+
+
+SRG_SRC = os.path.dirname(os.path.dirname(os.path.abspath(srg.__file__)))
+
+# One `srg` call; then, as the last line of stdout, whether numpy is loaded.
+_NUMPY_PROBE = "\n".join([
+    "import sys",
+    "from srg.cli import main",
+    "code = main(sys.argv[1:])",
+    "print('numpy' in sys.modules)",
+    "sys.exit(code)",
+])
+
+
+def run_python(*args):
+    """`python *args` in a fresh interpreter that imports srg from this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRG_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def run_srg_fresh(*argv):
+    """(exit code, stdout, stderr, numpy loaded) of one `srg` call in a fresh interpreter."""
+    proc = run_python("-c", _NUMPY_PROBE, *argv)
+    lines = proc.stdout.splitlines(keepends=True)
+    assert lines and lines[-1] in ("True\n", "False\n"), proc.stderr
+    return proc.returncode, "".join(lines[:-1]), proc.stderr, lines[-1] == "True\n"

@@ -10,11 +10,10 @@ import sys
 
 import pytest
 
-import srg
 from srg import load_example, serialize_network
 from srg.cli import build_parser, main
 
-from helpers import random_graph, reference_sts_dot, reference_sts_text
+from helpers import SRG_SRC, random_graph, reference_sts_dot, reference_sts_text, run_srg_fresh
 
 
 @pytest.fixture()
@@ -335,7 +334,17 @@ class TestErrorPaths:
         assert err.startswith("srg: ") and "No such file or directory" in err
 
 
-SRG_SRC = os.path.dirname(os.path.dirname(os.path.abspath(srg.__file__)))
+@pytest.mark.parametrize("argv, space", [
+    (("attractors", "mapk"), "3^6 = 729"),
+    (("sts", "mapk", "--dot"), "3^6 = 729"),
+    (("verify-bn", "mapk"), "3^6 = 729"),
+    # the oracle counts the space with its target pinned
+    (("phenotype", "check", "mapk", "--target", "FOXO3=-1", "--mode", "oracle"), "3^5 = 243"),
+], ids=["attractors", "sts", "verify-bn", "oracle"])
+def test_limit_refusal_exits_3_before_loading_numpy(argv, space):
+    code, out, err, numpy_loaded = run_srg_fresh(*argv, "--limit", "10")
+    assert (code, out, numpy_loaded) == (3, "", False)
+    assert err == f"srg: state space has {space} states, which exceeds the limit of 10\n"
 
 
 @pytest.mark.parametrize("argv", [

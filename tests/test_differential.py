@@ -32,7 +32,7 @@ from srg import (
     simulate,
     step,
 )
-from srg.dynamics import _peel
+from srg._kernel import _peel
 
 from helpers import clamp_consistent_states, sampled_states, scalar_equivalence
 from test_core import rule_value

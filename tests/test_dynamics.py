@@ -21,7 +21,8 @@ from srg import (
     step,
     update_vertex,
 )
-from srg.dynamics import _BLOCK_STATES, _blocks, _code_dtype, _peel
+from srg._kernel import _blocks, _code_dtype, _peel
+from srg.dynamics import _BLOCK_STATES
 
 from helpers import brute_force_attractors, clamp_consistent_states, random_graph
 
