@@ -7,14 +7,17 @@ graph or its Boolean encoding) never loads numpy.
 
 Enumeration works on state codes: mixed-radix base 3 over the unclamped
 vertices, first vertex most significant, so code order is the lexicographic
-order of the state tuples.  One stream walks the codes in digit-aligned
-blocks of 3^9, each the codes that share their leading digits: the trailing
-free vertices are int8 columns built once, the leading and clamped ones
-scalars.  The successor kernel, the Boolean cross-check and `sts` text all
-read it.  The rule runs column by column into each block's slice of one
-array of successor codes; taking the image of the space until it stops
-shrinking, one round per step of the longest transient, leaves the cycle
-nodes in one bool mask.  Only cycle states are decoded.
+order of the state tuples and the codes are the C-order cells of a
+`(3,) * f` array over the f free vertices.  The successor kernel uses the
+locality of the rule: a free vertex's move reads only itself and its
+regulators, so it runs over their axes alone and adds its stride up or
+down into every code by broadcasting.  Taking the image of the space until
+it stops shrinking, one round per step of the longest transient, leaves the
+cycle nodes in one bool mask; only cycle states are decoded.  Only the
+exhaustive Boolean cross-check walks the codes in digit-aligned blocks of
+3^9, each the codes that share their leading digits: the trailing free
+vertices are int8 columns built once, the leading and clamped ones scalars.
+The `sts` labels split the codes at the same digit.
 """
 
 from __future__ import annotations
@@ -31,24 +34,32 @@ from .dynamics import _BLOCK_STATES, _TAIL_DIGITS, _domains, _free_strides
 
 
 def _code_dtype(size):
-    """The index type for codes below `size`: int32 while it fits."""
+    """The index type for codes below `size`: int32 while it fits.
+
+    Refuses with MemoryError, before anything is allocated, past 3^32 codes:
+    their int64 array would take 14.8 PB, and its `(3,) * f` view more axes
+    than numpy 1.x allows.
+    """
+    if size > 3 ** 32:
+        raise MemoryError(f"{size} state codes are more than any machine can hold")
     return np.int32 if size < 2 ** 31 else np.int64
 
 
 def _max_at(columns, regulators):
-    """Per code, the largest value among `regulators`; -1 when there are none.
+    """Per cell of the vertex's local shape, the largest of `regulators`; -1 if none.
 
-    With only clamped regulators, or none, the result is an int8 scalar
-    that broadcasts in the masks.  The masks compare values rather than
-    negate flags: `~` on a Python bool gives -1 or -2, not a logical not.
+    In the cross-check the cells are a block's rows.  With only clamped
+    regulators, or none, the result is an int8 scalar that broadcasts in
+    the masks.  The masks compare values rather than negate flags: `~` on a
+    Python bool gives -1 or -2, not a logical not.
     """
     return functools.reduce(np.maximum, (columns[u] for u in regulators), np.int8(-1))
 
 
 def _moves(graph, columns, i):
-    """(up, down): the rows where free vertex i steps to 1 and to -1.
+    """(up, down): per cell of i's local shape, whether free vertex i steps to 1, to -1.
 
-    Every other row steps it to 0; the two masks never overlap.
+    Every other cell steps it to 0; the two masks never overlap.
     """
     act = _max_at(columns, graph.activation_in[i])
     inh = _max_at(columns, graph.inhibition_in[i])
@@ -90,18 +101,53 @@ def _sampled_blocks(graph, samples, seed):
 
 
 def _successor_codes(graph, state_limit):
-    """The successor code of every code, by the unanimous rule."""
+    """The successor code of every code, by the unanimous rule.
+
+    The codes are the C-order cells of a `(3,) * f` array, one axis per free
+    vertex, first free vertex first; each free vertex adds its moves into
+    that array.
+    """
     strides = _free_strides(_domains(graph, state_limit))
     size = 3 ** len(strides)
     # Start every successor at the all-ambiguous code, then move each digit.
     succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
-    for k, (columns, rows) in enumerate(_blocks(graph, state_limit)):
-        out = succ[k * rows:(k + 1) * rows]
-        for i, stride in strides:
-            up, down = _moves(graph, columns, i)
-            np.add(out, stride, out=out, where=up)
-            np.subtract(out, stride, out=out, where=down)
+    cube = succ.reshape((3,) * len(strides))
+    free = [i for i, _ in strides]
+    for i, stride in strides:
+        _add_moves(graph, cube, free, i, stride)
     return succ
+
+
+def _add_moves(graph, cube, free, i, stride):
+    """Add free vertex i's moves, `stride` up or down, into the code array.
+
+    The move reads only i and its regulators, its local vertices, so it runs
+    over their axes alone, the local shape, and broadcasts over the others.
+    A local shape of more than one block runs in slices, its leading local
+    vertices fixed as scalars.
+    """
+    support = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
+    local = [a for a, u in enumerate(free) if u in support]
+    lead, rest = local[:-_TAIL_DIGITS], local[-_TAIL_DIGITS:]
+    # Each trailing local vertex's values along its own axis, copied over
+    # the local shape so that the masks need no strided broadcasts.
+    shape = [3 if a in rest else 1 for a in range(rest[0], cube.ndim)]
+    digits = np.arange(-1, 2, dtype=np.int8)
+    columns = dict(graph.clamps)
+    for a in rest:
+        along = digits.reshape([3] + [1] * (cube.ndim - 1 - a))
+        columns[free[a]] = np.broadcast_to(along, shape).copy()
+    for picks in itertools.product(range(3), repeat=len(lead)):
+        index = [slice(None)] * cube.ndim
+        for a, d in zip(lead, picks):
+            index[a], columns[free[a]] = d, np.int8(d - 1)
+        up, down = _moves(graph, columns, i)
+        # In the code dtype: a stride overflows int8.
+        delta = up.astype(cube.dtype)
+        delta -= down
+        delta *= stride
+        out = cube[tuple(index)]
+        out += delta
 
 
 def _peel(succ):

@@ -5,11 +5,12 @@ has exactly one successor, so the attractors are exactly the cycles.
 `enumerate_attractors` and `build_sts` check the state limit, then run the
 numpy code kernel in `srg._kernel`, which they import on first use: a step,
 a trajectory or a trap-set test never loads numpy.  The kernel computes the
-successor code of every state in digit-aligned blocks of 3^9 and takes the
-image of the space until it stops shrinking, which leaves the cycle nodes;
-walking those in ascending code order starts each attractor at its least
-state and yields a sorted list.  At 3^14 states (a random 14-vertex graph
-of density 0.16) enumeration takes about 0.5 s and the whole process peaks
+successor code of every state, each vertex's move over the axes of the
+vertices it reads, and takes the image of the space until it stops
+shrinking, which leaves the cycle nodes; walking those in ascending code
+order starts each attractor at its least state and yields a sorted list.
+At 3^14 states (a random 14-vertex graph of density 0.16) enumeration takes
+0.17 s, 0.13 s of it for the successor codes, and the whole process peaks
 near 52 MB on a 2-core Xeon: numpy, then 5 bytes a state for the int32
 successor codes and the mask.
 """

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,23 @@ class TestAttractors:
         code, _, err = run(capsys, "attractors", "mapk", "--limit", "10")
         assert code == 3
         assert "exceeds the limit" in err
+
+    @pytest.mark.parametrize("command", ["attractors", "sts"])
+    def test_space_past_any_array_exits_3_without_allocating(self, capsys, tmp_path, command):
+        # 3^40 codes: more than int64 holds and more axes than numpy allows.
+        names = [f"v{i}" for i in range(40)]
+        path = tmp_path / "chain40.srg"
+        path.write_text("".join(f"{u} -> {v}\n" for u, v in zip(names, names[1:])))
+        import srg._kernel  # noqa: F401  (numpy loads before the trace starts)
+
+        tracemalloc.start()
+        try:
+            result = run(capsys, command, str(path), "--limit", str(3 ** 45))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (3, "", "srg: out of memory; try a smaller network or a lower --limit\n")
+        assert peak < 2 ** 20
 
 
 class TestGraphAndSts:

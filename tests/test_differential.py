@@ -10,8 +10,10 @@ filter over every attractor.  Hypothesis shrinks any disagreement to a
 minimal graph.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import srg.boolenc as boolenc
 from srg import (
@@ -34,7 +36,7 @@ from srg import (
 )
 from srg._kernel import _peel
 
-from helpers import clamp_consistent_states, sampled_states, scalar_equivalence
+from helpers import clamp_consistent_states, random_graph, sampled_states, scalar_equivalence
 from test_core import rule_value
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -71,6 +73,44 @@ def test_successor_engines_agree(data):
         assert rebuilt == expected
         assert sts.successor_of(state) == expected
         assert decode_state(bn_step(network, encode_state(state))) == expected
+
+
+def clamped_random_graph(free, clamps, density, seed):
+    """A random graph of `free` + `clamps` vertices, `clamps` of them pinned."""
+    rng = random.Random(seed)
+    graph = random_graph(rng, n=free + clamps, density=density)
+    pinned = rng.sample(graph.vertices, clamps)
+    return graph.with_clamps({name: rng.choice((-1, 1)) for name in pinned})
+
+
+def assert_successors_match_step(graph):
+    states = list(clamp_consistent_states(graph))
+    succ = build_sts(graph).successor
+    assert [states[k] for k in succ.tolist()] == [step(graph, s) for s in states]
+
+
+@PROPERTY
+@given(
+    free=st.integers(0, 8), clamps=st.integers(0, 2),
+    density=st.floats(0, 1), seed=st.integers(0, 2 ** 32),
+)
+@example(free=0, clamps=2, density=1.0, seed=0)  # fully clamped: a 0-d code array
+def test_factored_kernel_matches_scalar_step(free, clamps, density, seed):
+    if free + clamps:
+        assert_successors_match_step(clamped_random_graph(free, clamps, density, seed))
+
+
+def test_factored_kernel_slices_a_hub_past_int16_strides():
+    # 11 free vertices: the leading stride 3^10 overflows int16, and the
+    # hub v5, which every vertex regulates, runs in nine slices of 3^9.
+    names = [f"v{i}" for i in range(12)]
+    graph = RegulatoryGraph(
+        names,
+        [("v0", "v1"), ("v5", "v9"), ("v5", "v11")] + [(u, "v5") for u in names[::2]],
+        [("v11", "v0")] + [(u, "v5") for u in names[1::2]],
+        {"v7": 1},
+    )
+    assert_successors_match_step(graph)
 
 
 @st.composite

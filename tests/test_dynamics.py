@@ -21,7 +21,7 @@ from srg import (
     step,
     update_vertex,
 )
-from srg._kernel import _blocks, _code_dtype, _peel
+from srg._kernel import _blocks, _code_dtype, _peel, _successor_codes
 from srg.dynamics import _BLOCK_STATES
 
 from helpers import brute_force_attractors, clamp_consistent_states, random_graph
@@ -222,6 +222,19 @@ def chain(n):
     return RegulatoryGraph(names, list(zip(names, names[1:])))
 
 
+def hub(n):
+    """A chain whose middle vertex every vertex regulates, half of them by
+    inhibition: its move reads all n vertices."""
+    names = [f"v{i}" for i in range(n)]
+    middle = names[n // 2]
+    links = [(u, v) for u, v in zip(names, names[1:]) if v != middle]
+    return RegulatoryGraph(
+        names,
+        links + [(u, middle) for u in names[::2]],
+        [(u, middle) for u in names[1::2]],
+    )
+
+
 def chain_fixed_points(graph):
     """Fixed points of an activation chain, built vertex by vertex.
 
@@ -288,6 +301,25 @@ class TestKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * len(succ)
+
+    def test_successor_memory_is_bounded_with_wide_vertices(self):
+        """At 3^12 the successor codes take at most 5 bytes a state, 4 of
+        them the codes: a move that reads more than nine free vertices runs
+        in slices, not over the whole space."""
+        graphs = (
+            random_graph(random.Random(12), n=12, density=1.0),
+            hub(12),
+            hub(14).with_clamps({"v3": 1, "v10": -1}),
+        )
+        for graph in graphs:
+            tracemalloc.start()
+            try:
+                succ = _successor_codes(graph, 3 ** 12)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(succ) == 3 ** 12
+            assert peak <= 5 * len(succ)
 
     def test_chain_oracle_agrees_with_brute_force(self):
         graph = chain(6)
