@@ -8,16 +8,15 @@ graph or its Boolean encoding) never loads numpy.
 Enumeration works on state codes: mixed-radix base 3 over the unclamped
 vertices, first vertex most significant, so code order is the lexicographic
 order of the state tuples and the codes are the C-order cells of a
-`(3,) * f` array over the f free vertices.  The successor kernel uses the
-locality of the rule: a free vertex's move reads only itself and its
-regulators, so it runs over their axes alone and adds its stride up or
-down into every code by broadcasting.  Taking the image of the space until
+`(3,) * f` array over the f free vertices.  The rule is local: a free
+vertex's move, like its bit rules, reads only itself and a few other
+vertices, so both run over the axes of those vertices alone, in slices of
+at most 3^9 cells.  The successor kernel adds each move's stride up or down
+into every code by broadcasting; the exhaustive Boolean cross-check stops
+at each vertex's first failing slice.  Taking the image of the space until
 it stops shrinking, one round per step of the longest transient, leaves the
-cycle nodes in one bool mask; only cycle states are decoded.  Only the
-exhaustive Boolean cross-check walks the codes in digit-aligned blocks of
-3^9, each the codes that share their leading digits: the trailing free
-vertices are int8 columns built once, the leading and clamped ones scalars.
-The `sts` labels split the codes at the same digit.
+cycle nodes in one bool mask; only cycle states are decoded.  The `sts`
+labels split the codes at the same 3^9 digit.
 """
 
 from __future__ import annotations
@@ -46,12 +45,11 @@ def _code_dtype(size):
 
 
 def _max_at(columns, regulators):
-    """Per cell of the vertex's local shape, the largest of `regulators`; -1 if none.
+    """Per local cell, or drawn state, the largest of `regulators`; -1 if none.
 
-    In the cross-check the cells are a block's rows.  With only clamped
-    regulators, or none, the result is an int8 scalar that broadcasts in
-    the masks.  The masks compare values rather than negate flags: `~` on a
-    Python bool gives -1 or -2, not a logical not.
+    With only clamped regulators, or none, the result is an int8 scalar that
+    broadcasts in the masks.  The masks compare values rather than negate
+    flags: `~` on a Python bool gives -1 or -2, not a logical not.
     """
     return functools.reduce(np.maximum, (columns[u] for u in regulators), np.int8(-1))
 
@@ -71,83 +69,55 @@ def _moves(graph, columns, i):
     return up, down
 
 
-def _blocks(graph, state_limit):
-    """The clamp-consistent space in code order, as (columns, rows) blocks.
+def _local_columns(graph, strides, support):
+    """(index, columns) per slice of the local shape of the free vertices in `support`.
 
-    A block is every code that shares the leading free digits: a trailing
-    free vertex's column is its int8 values over the block, a leading one's
-    is one int8 value and a clamped vertex's is its clamp value.
+    The local shape spans their axes alone; one of more than 3^9 cells comes
+    in slices, in code order, its leading local vertices fixed as scalars.
+    `index` picks a slice out of the `(3,) * f` code array; `columns` holds
+    its values, scalars but for the trailing local vertices: int8 copies over
+    the shape, so that the masks need no strided broadcasts.
     """
-    strides = _free_strides(_domains(graph, state_limit))
-    lead = [i for i, _ in strides[:-_TAIL_DIGITS]]
-    tail = strides[-_TAIL_DIGITS:]
-    rows = 3 ** len(tail)
+    free = [i for i, _ in strides]
+    local = [a for a, u in enumerate(free) if u in support]
+    lead, rest = local[:-_TAIL_DIGITS], local[-_TAIL_DIGITS:]
     digits = np.arange(-1, 2, dtype=np.int8)
     columns = dict(graph.clamps)
-    for i, stride in tail:
-        columns[i] = np.tile(np.repeat(digits, stride), rows // (3 * stride))
-    for values in itertools.product(digits, repeat=len(lead)):
-        yield {**columns, **dict(zip(lead, values))}, rows
-
-
-def _sampled_blocks(graph, samples, seed):
-    """`samples` random clamp-consistent states drawn from `seed`, as blocks."""
-    rng = random.Random(seed)
-    for lo in range(0, samples, _BLOCK_STATES):
-        rows = min(_BLOCK_STATES, samples - lo)
-        states = [apply_clamps(graph, [rng.choice((-1, 0, 1)) for _ in range(graph.n)])
-                  for _ in range(rows)]
-        yield dict(enumerate(np.array(states, dtype=np.int8).T)), rows
+    for a in rest:
+        shape = [3 if b in rest else 1 for b in range(rest[0], len(free))]
+        along = digits.reshape([3] + [1] * (len(free) - 1 - a))
+        columns[free[a]] = np.broadcast_to(along, shape).copy()
+    for picks in itertools.product(range(3), repeat=len(lead)):
+        index = [slice(None)] * len(free)
+        for a, d in zip(lead, picks):
+            index[a], columns[free[a]] = d, np.int8(d - 1)
+        yield tuple(index), columns
 
 
 def _successor_codes(graph, state_limit):
     """The successor code of every code, by the unanimous rule.
 
     The codes are the C-order cells of a `(3,) * f` array, one axis per free
-    vertex, first free vertex first; each free vertex adds its moves into
-    that array.
+    vertex, first free vertex first.  A free vertex's move reads only itself
+    and its regulators, so it runs over their local shape and adds its
+    stride up or down into that array, broadcast over the other axes.
     """
     strides = _free_strides(_domains(graph, state_limit))
     size = 3 ** len(strides)
     # Start every successor at the all-ambiguous code, then move each digit.
     succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
     cube = succ.reshape((3,) * len(strides))
-    free = [i for i, _ in strides]
     for i, stride in strides:
-        _add_moves(graph, cube, free, i, stride)
+        support = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
+        for index, columns in _local_columns(graph, strides, support):
+            up, down = _moves(graph, columns, i)
+            # In the code dtype: a stride overflows int8.
+            delta = up.astype(cube.dtype)
+            delta -= down
+            delta *= stride
+            out = cube[index]
+            out += delta
     return succ
-
-
-def _add_moves(graph, cube, free, i, stride):
-    """Add free vertex i's moves, `stride` up or down, into the code array.
-
-    The move reads only i and its regulators, its local vertices, so it runs
-    over their axes alone, the local shape, and broadcasts over the others.
-    A local shape of more than one block runs in slices, its leading local
-    vertices fixed as scalars.
-    """
-    support = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
-    local = [a for a, u in enumerate(free) if u in support]
-    lead, rest = local[:-_TAIL_DIGITS], local[-_TAIL_DIGITS:]
-    # Each trailing local vertex's values along its own axis, copied over
-    # the local shape so that the masks need no strided broadcasts.
-    shape = [3 if a in rest else 1 for a in range(rest[0], cube.ndim)]
-    digits = np.arange(-1, 2, dtype=np.int8)
-    columns = dict(graph.clamps)
-    for a in rest:
-        along = digits.reshape([3] + [1] * (cube.ndim - 1 - a))
-        columns[free[a]] = np.broadcast_to(along, shape).copy()
-    for picks in itertools.product(range(3), repeat=len(lead)):
-        index = [slice(None)] * cube.ndim
-        for a, d in zip(lead, picks):
-            index[a], columns[free[a]] = d, np.int8(d - 1)
-        up, down = _moves(graph, columns, i)
-        # In the code dtype: a stride overflows int8.
-        delta = up.astype(cube.dtype)
-        delta -= down
-        delta *= stride
-        out = cube[tuple(index)]
-        out += delta
 
 
 def _peel(succ):
@@ -183,36 +153,67 @@ def _evaluate(rule, bits):
     return functools.reduce(operator.and_, (bits[t] for t in rule.and_terms), either)
 
 
-def _mismatches(graph, network, columns, rows):
-    """Per row, whether some bit rule disagrees with its vertex's next value.
+def _bits(network, columns):
+    """The bit variables of the vertices in `columns`: v_on is v == 1, v_off is v == -1."""
+    return {name: columns[k // 2] == 1 - 2 * (k % 2)
+            for k, name in enumerate(network.variables) if k // 2 in columns}
+
+
+def _vertex_mismatches(graph, rules, bits, columns, i):
+    """Per cell, whether one of vertex i's two bit `rules` disagrees with its next value.
 
     The next value is the kernel's move of a free vertex, or its clamp.
     """
-    bits, expected = {}, {}
-    for i, (on, off) in enumerate(zip(network.variables[::2], network.variables[1::2])):
-        bits[on], bits[off] = columns[i] == 1, columns[i] == -1
-        if i in graph.clamps:
-            expected[on], expected[off] = graph.clamps[i] == 1, graph.clamps[i] == -1
-        else:
-            expected[on], expected[off] = _moves(graph, columns, i)
-    bad = np.zeros(rows, dtype=bool)
-    for rule in network.rules:
-        bad |= _evaluate(rule, bits) != expected[rule.target]
-    return bad
+    clamp = graph.clamps.get(i)
+    expected = _moves(graph, columns, i) if clamp is None else (clamp == 1, clamp == -1)
+    return functools.reduce(
+        operator.or_, (_evaluate(rule, bits) != e for rule, e in zip(rules, expected)), False
+    )
 
 
-def _first_mismatch(graph, network, blocks):
-    """(states checked, state) at the first state of `blocks` that mismatches.
+def _first_mismatch(graph, network, domains):
+    """(states checked, state) at the least mismatching code; (3^f, None) if none.
 
-    The count includes that state; the state is None, and the count covers
-    every block, when all of them agree.
+    Vertex i's rules and move read only its support: i, its regulators and
+    the vertices of its rules' bits.  Its slices come in code order, every
+    other free digit at code digit 0, so its first failing slice holds its
+    least failing code.
     """
-    checked = 0
-    for columns, rows in blocks:
-        failing = np.flatnonzero(_mismatches(graph, network, columns, rows))
+    strides = _free_strides(domains)
+    size = least = 3 ** len(strides)
+    dtype = _code_dtype(size)
+    for i, rules in enumerate(zip(network.rules[::2], network.rules[1::2])):
+        support = {network.variables.index(t) // 2
+                   for rule in rules for t in (*rule.or_terms, *rule.and_terms)}
+        if i not in graph.clamps:
+            support |= {i, *graph.activation_in[i], *graph.inhibition_in[i]}
+        for _, columns in _local_columns(graph, strides, support):
+            bad = _vertex_mismatches(graph, rules, _bits(network, columns), columns, i)
+            if np.any(bad):
+                codes = sum((columns[u] + 1).astype(dtype) * k for u, k in strides if u in support)
+                least = min(least, int(np.min(np.where(bad, codes, size))))
+                break
+    if least == size:
+        return size, None
+    return least + 1, _decode(domains, [least])[0]
+
+
+def _first_sampled_mismatch(graph, network, samples, seed):
+    """(states checked, state) at the first mismatching one of `samples` states.
+
+    The states are clamp-consistent, drawn from `seed` and checked in blocks
+    of 3^9; (samples, None) when all of them agree.
+    """
+    rng, pairs = random.Random(seed), list(zip(network.rules[::2], network.rules[1::2]))
+    for lo in range(0, samples, _BLOCK_STATES):
+        states = [apply_clamps(graph, [rng.choice((-1, 0, 1)) for _ in range(graph.n)])
+                  for _ in range(min(_BLOCK_STATES, samples - lo))]
+        columns = dict(enumerate(np.array(states, dtype=np.int8).T))
+        bits = _bits(network, columns)
+        bad = functools.reduce(operator.or_, (
+            _vertex_mismatches(graph, rules, bits, columns, i) for i, rules in enumerate(pairs)
+        ), False)
+        failing = np.flatnonzero(bad)
         if failing.size:
-            k = int(failing[0])
-            values = [columns[i] for i in range(graph.n)]
-            return checked + k + 1, TernaryState(int(v[k]) if np.ndim(v) else v for v in values)
-        checked += rows
-    return checked, None
+            return lo + int(failing[0]) + 1, states[failing[0]]
+    return samples, None

@@ -7,10 +7,10 @@ the unanimous rule, so stepping the Boolean network commutes with the
 encoding.  This gives an independent evaluator to cross-check the ternary
 engine against, plus an export path to BoolNet-style rule files.
 
-The cross-check evaluates the bit rules over blocks of states at once and
-compares each rule with the kernel's move of its vertex, in `srg._kernel`,
-which it imports on first use; the scalar `step` and `bn_step` only rebuild
-a counterexample.
+The cross-check compares each vertex's bit rules with the kernel's move of
+the vertex, in `srg._kernel`, which it imports on first use, over the local
+shape of the vertices they read or over blocks of drawn states; the scalar
+`step` and `bn_step` only rebuild a counterexample.
 """
 
 from __future__ import annotations
@@ -165,29 +165,28 @@ def check_simulation_equivalence(
 ) -> EquivalenceReport:
     """Check encode(step(s)) == bn_step(encode(s)) over the requested coverage.
 
-    With samples=None every clamp-consistent state is covered in code order
-    (subject to `state_limit`); otherwise `samples` random clamp-consistent
-    states are drawn from `seed`.  Either way the states come in blocks of
-    value columns: each bit rule is evaluated over a block and compared with
-    the kernel's move of its vertex, or with its clamp.  Stops at the first
-    counterexample, which is reported rather than raised, as (input state,
-    expected successor, produced bits) rebuilt by the scalar `step` and
-    `bn_step`.  Its (1, 1) pairs are counted; a correct encoding never emits
-    any.
+    With samples=None every clamp-consistent state is covered (subject to
+    `state_limit`): each vertex's bit rules are compared with the kernel's
+    move of the vertex, or with its clamp, over the local shape of the
+    vertices they read, and the least failing code is the counterexample.
+    Otherwise `samples` random clamp-consistent states are drawn from `seed`
+    and checked in blocks, up to the first failing one.  The counterexample
+    is reported rather than raised, as (input state, expected successor,
+    produced bits) rebuilt by the scalar `step` and `bn_step`.  Its (1, 1)
+    pairs are counted; a correct encoding never emits any.
     """
     # Refuse before encoding the network or loading the kernel.
     if samples is None:
-        _domains(graph, state_limit)
+        domains = _domains(graph, state_limit)
     elif samples < 1:
         raise ValueError("samples must be positive")
     network = encode_network(graph)
-    from ._kernel import _blocks, _first_mismatch, _sampled_blocks
+    from ._kernel import _first_mismatch, _first_sampled_mismatch
 
     if samples is None:
-        blocks = _blocks(graph, state_limit)
+        checked, state = _first_mismatch(graph, network, domains)
     else:
-        blocks = _sampled_blocks(graph, samples, seed)
-    checked, state = _first_mismatch(graph, network, blocks)
+        checked, state = _first_sampled_mismatch(graph, network, samples, seed)
     if state is None:
         return EquivalenceReport(True, checked, None, 0)
     expected = step(graph, state)

@@ -183,7 +183,7 @@ def _graph_dot(graph):
 def transition_lines(sts: TransitionSystem, dot: bool):
     """One "state -> successor" line per state in canonical order, or DOT.
 
-    Yielded in the state stream's blocks, so the text is never in memory at
+    Yielded in blocks of 3^9 states, so the text is never in memory at
     once.  The tails cover the vertices that vary within a block, the heads
     the rest: code c is heads[c // width] + tails[c % width].
     """

@@ -246,6 +246,33 @@ class TestCommutingSquare:
         assert report.ok and report.states_checked == 3 ** 12
         assert peak < 4 * 2 ** 20
 
+    def test_check_of_a_space_past_any_array_reads_only_local_shapes(self, monkeypatch):
+        """3^30 states, more than any array of codes: each vertex's rules read
+        at most two free vertices, so the check runs in small local shapes."""
+        import srg._kernel  # noqa: F401  (numpy loads before the trace starts)
+        import srg.boolenc as boolenc
+
+        names = [f"v{i}" for i in range(30)]
+        chain = RegulatoryGraph(names, list(zip(names, names[1:])))
+        real = encode_network(chain)
+        rules = tuple(
+            BitRule("v0_on", constant=False) if r.target == "v0_on" else r for r in real.rules
+        )
+        tampered = BooleanNetwork(real.vertex_names, real.variables, rules)
+        tracemalloc.start()
+        try:
+            passing = check_simulation_equivalence(chain, state_limit=3 ** 30)
+            monkeypatch.setattr(boolenc, "encode_network", lambda g: tampered)
+            failing = boolenc.check_simulation_equivalence(chain, state_limit=3 ** 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passing.ok and passing.states_checked == 3 ** 30
+        # v0_on must be set exactly where v0 = 1: from code 2 * 3^29 on.
+        assert failing.states_checked == 2 * 3 ** 29 + 1
+        assert failing.counterexample[0] == (1,) + (-1,) * 29
+        assert peak < 2 ** 20
+
     def test_sample_count_validated(self, fig1a):
         with pytest.raises(ValueError):
             check_simulation_equivalence(fig1a, samples=0)

@@ -95,7 +95,7 @@ class TestAttractors:
         assert code == 3
         assert "exceeds the limit" in err
 
-    @pytest.mark.parametrize("command", ["attractors", "sts"])
+    @pytest.mark.parametrize("command", ["attractors", "sts", "verify-bn"])
     def test_space_past_any_array_exits_3_without_allocating(self, capsys, tmp_path, command):
         # 3^40 codes: more than int64 holds and more axes than numpy allows.
         names = [f"v{i}" for i in range(40)]

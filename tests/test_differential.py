@@ -100,17 +100,20 @@ def test_factored_kernel_matches_scalar_step(free, clamps, density, seed):
         assert_successors_match_step(clamped_random_graph(free, clamps, density, seed))
 
 
-def test_factored_kernel_slices_a_hub_past_int16_strides():
-    # 11 free vertices: the leading stride 3^10 overflows int16, and the
-    # hub v5, which every vertex regulates, runs in nine slices of 3^9.
+def hub_graph():
+    """11 free vertices: the leading stride 3^10 overflows int16, and the
+    hub v5, which every vertex regulates, runs in nine slices of 3^9."""
     names = [f"v{i}" for i in range(12)]
-    graph = RegulatoryGraph(
+    return RegulatoryGraph(
         names,
         [("v0", "v1"), ("v5", "v9"), ("v5", "v11")] + [(u, "v5") for u in names[::2]],
         [("v11", "v0")] + [(u, "v5") for u in names[1::2]],
         {"v7": 1},
     )
-    assert_successors_match_step(graph)
+
+
+def test_factored_kernel_slices_a_hub_past_int16_strides():
+    assert_successors_match_step(hub_graph())
 
 
 @st.composite
@@ -143,6 +146,46 @@ def test_batched_cross_check_matches_scalar_loop(data):
         sampled = check_simulation_equivalence(graph, samples=samples, seed=seed)
     assert exhaustive == scalar_equivalence(graph, network, clamp_consistent_states(graph))
     assert sampled == scalar_equivalence(graph, network, sampled_states(graph, samples, seed))
+
+
+def with_rules(network, *replaced):
+    """`network` with each rule of `replaced` in place of its target's rule."""
+    by_target = {rule.target: rule for rule in replaced}
+    rules = tuple(by_target.get(rule.target, rule) for rule in network.rules)
+    return BooleanNetwork(network.vertex_names, network.variables, rules)
+
+
+def exhaustive_check_with(graph, network):
+    """The exhaustive cross-check of `graph` against `network`, which must
+    report what the scalar loop over every state reports."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boolenc, "encode_network", lambda g: network)
+        report = check_simulation_equivalence(graph)
+    assert report == scalar_equivalence(graph, network, clamp_consistent_states(graph))
+    return report
+
+
+def test_cross_check_finds_a_failure_past_the_first_slice_of_a_hub():
+    # v7 = 1 inhibits v5, so v5_on stays clear.  Set where v1 = 1 instead,
+    # it first fails at code 2 * 3^9, in the third of the hub's slices.
+    graph = hub_graph()
+    network = with_rules(encode_network(graph), BitRule("v5_on", ("v1_on",), ()))
+    report = exhaustive_check_with(graph, network)
+    assert report.states_checked == 2 * 3 ** 9 + 1
+    assert report.counterexample[0] == (-1, 1) + (-1,) * 5 + (1,) + (-1,) * 4
+
+
+def test_cross_check_reports_the_least_failing_code_over_all_vertices():
+    # v1_on first fails at v1 = 1 (code 2 * 3^2), v3_on, later in rule
+    # order, at v3 = 1 (code 2): the report is v3's.
+    names = ["v0", "v1", "v2", "v3"]
+    graph = RegulatoryGraph(names, list(zip(names, names[1:])))
+    network = with_rules(
+        encode_network(graph), BitRule("v1_on", constant=False), BitRule("v3_on", constant=False)
+    )
+    report = exhaustive_check_with(graph, network)
+    assert report.states_checked == 3
+    assert report.counterexample[0] == (-1, -1, -1, 1)
 
 
 @PROPERTY
