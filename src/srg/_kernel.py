@@ -1,22 +1,22 @@
 """The numpy code kernel: the only module of the package that imports numpy.
 
 `dynamics` and `boolenc` import it inside the functions that walk the state
-space, after the state limit has been checked, so a call that never
-enumerates (a step, a trajectory, a phenotype decision, a witness, the
-graph or its Boolean encoding) never loads numpy.
+space, once `dynamics._free_strides` has laid the space out and refused it,
+so a call that never enumerates (a step, a trajectory, a phenotype
+decision, a witness, the graph or its Boolean encoding) never loads numpy.
 
-Enumeration works on state codes: mixed-radix base 3 over the unclamped
-vertices, first vertex most significant, so code order is the lexicographic
-order of the state tuples and the codes are the C-order cells of a
-`(3,) * f` array over the f free vertices.  The rule is local: a free
-vertex's move, like its bit rules, reads only itself and a few other
-vertices, so both run over the axes of those vertices alone, in slices of
-at most 3^9 cells.  The successor kernel adds each move's stride up or down
-into every code by broadcasting; the exhaustive Boolean cross-check stops
-at each vertex's first failing slice.  Taking the image of the space until
-it stops shrinking, one round per step of the longest transient, leaves the
-cycle nodes in one bool mask; only cycle states are decoded.  The `sts`
-labels split the codes at the same 3^9 digit.
+Enumeration works on state codes: mixed-radix base 3 over the free vertices
+with the strides of `_free_strides`, first vertex most significant, so code
+order is the lexicographic order of the state tuples and the codes are the
+C-order cells of a `(3,) * f` array over the f free vertices.  The rule is
+local: a free vertex's move, like its bit rules, reads only itself and a
+few other vertices, so both run over the axes of those vertices alone, in
+slices of at most 3^9 cells.  The successor kernel adds each move's stride
+up or down into every code by broadcasting; the exhaustive Boolean
+cross-check stops at each vertex's first failing slice.  Taking the image
+of the space until it stops shrinking, one round per step of the longest
+transient, leaves the cycle nodes in one bool mask; only cycle states are
+decoded.  The `sts` labels split the codes at the same 3^9 digit.
 """
 
 from __future__ import annotations
@@ -29,18 +29,11 @@ import random
 import numpy as np
 
 from .core import TernaryState, apply_clamps
-from .dynamics import _BLOCK_STATES, _TAIL_DIGITS, _domains, _free_strides
+from .dynamics import _BLOCK_STATES, _TAIL_DIGITS
 
 
 def _code_dtype(size):
-    """The index type for codes below `size`: int32 while it fits.
-
-    Refuses with MemoryError, before anything is allocated, past 3^32 codes:
-    their int64 array would take 14.8 PB, and its `(3,) * f` view more axes
-    than numpy 1.x allows.
-    """
-    if size > 3 ** 32:
-        raise MemoryError(f"{size} state codes are more than any machine can hold")
+    """The index type for codes below `size`: int32 while it fits."""
     return np.int32 if size < 2 ** 31 else np.int64
 
 
@@ -94,7 +87,7 @@ def _local_columns(graph, strides, support):
         yield tuple(index), columns
 
 
-def _successor_codes(graph, state_limit):
+def _successor_codes(graph, strides):
     """The successor code of every code, by the unanimous rule.
 
     The codes are the C-order cells of a `(3,) * f` array, one axis per free
@@ -102,7 +95,6 @@ def _successor_codes(graph, state_limit):
     and its regulators, so it runs over their local shape and adds its
     stride up or down into that array, broadcast over the other axes.
     """
-    strides = _free_strides(_domains(graph, state_limit))
     size = 3 ** len(strides)
     # Start every successor at the all-ambiguous code, then move each digit.
     succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
@@ -138,10 +130,13 @@ def _peel(succ):
     return live, rounds
 
 
-def _decode(domains, codes):
-    """The TernaryStates of the given codes, in the same order."""
-    digits = np.unravel_index(codes, [len(d) for d in domains])
-    values = np.column_stack([np.asarray(d)[k] for d, k in zip(domains, digits)])
+def _decode(graph, strides, codes):
+    """The TernaryStates of `codes`, in order; a clamped vertex takes no code digit."""
+    codes = np.asarray(codes, dtype=np.int64)
+    values = np.zeros((len(codes), graph.n), dtype=np.int8)
+    values[:, list(graph.clamps)] = list(graph.clamps.values())
+    for i, stride in strides:
+        values[:, i] = codes // stride % 3 - 1
     return [TernaryState(row) for row in values.tolist()]
 
 
@@ -171,7 +166,7 @@ def _vertex_mismatches(graph, rules, bits, columns, i):
     )
 
 
-def _first_mismatch(graph, network, domains):
+def _first_mismatch(graph, network, strides):
     """(states checked, state) at the least mismatching code; (3^f, None) if none.
 
     Vertex i's rules and move read only its support: i, its regulators and
@@ -179,7 +174,6 @@ def _first_mismatch(graph, network, domains):
     other free digit at code digit 0, so its first failing slice holds its
     least failing code.
     """
-    strides = _free_strides(domains)
     size = least = 3 ** len(strides)
     dtype = _code_dtype(size)
     for i, rules in enumerate(zip(network.rules[::2], network.rules[1::2])):
@@ -195,7 +189,7 @@ def _first_mismatch(graph, network, domains):
                 break
     if least == size:
         return size, None
-    return least + 1, _decode(domains, [least])[0]
+    return least + 1, _decode(graph, strides, [least])[0]
 
 
 def _first_sampled_mismatch(graph, network, samples, seed):

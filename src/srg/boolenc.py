@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import RegulatoryGraph, TernaryState, step
-from .dynamics import DEFAULT_STATE_LIMIT, _domains
+from .dynamics import DEFAULT_STATE_LIMIT, _free_strides
 from .errors import InvalidCodeError
 
 
@@ -177,14 +177,14 @@ def check_simulation_equivalence(
     """
     # Refuse before encoding the network or loading the kernel.
     if samples is None:
-        domains = _domains(graph, state_limit)
+        strides = _free_strides(graph, state_limit)
     elif samples < 1:
         raise ValueError("samples must be positive")
     network = encode_network(graph)
     from ._kernel import _first_mismatch, _first_sampled_mismatch
 
     if samples is None:
-        checked, state = _first_mismatch(graph, network, domains)
+        checked, state = _first_mismatch(graph, network, strides)
     else:
         checked, state = _first_sampled_mismatch(graph, network, samples, seed)
     if state is None:

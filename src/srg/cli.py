@@ -235,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run until the trajectory cycles")
     network_arg(p)
-    p.add_argument("state")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("state", help='start state literal, "(-1,1,1)" or "A=-1,B=1,C=1"')
+    p.add_argument("--max-steps", type=int, default=None,
+                   help="fail if no state repeats within this many steps (default 3^n)")
     json_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -291,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     network_arg(p)
     p.add_argument("--samples", type=int, default=None,
                    help="check this many random states instead of every clamp-consistent one")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --samples draws; the exhaustive check ignores it")
     limit_flag(p)
     json_flag(p)
     p.set_defaults(func=_cmd_verify_bn)

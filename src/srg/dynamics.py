@@ -2,17 +2,17 @@
 
 The synchronous rule makes the state space a functional graph: every state
 has exactly one successor, so the attractors are exactly the cycles.
-`enumerate_attractors` and `build_sts` check the state limit, then run the
-numpy code kernel in `srg._kernel`, which they import on first use: a step,
-a trajectory or a trap-set test never loads numpy.  The kernel computes the
-successor code of every state, each vertex's move over the axes of the
-vertices it reads, and takes the image of the space until it stops
-shrinking, which leaves the cycle nodes; walking those in ascending code
-order starts each attractor at its least state and yields a sorted list.
-At 3^14 states (a random 14-vertex graph of density 0.16) enumeration takes
-0.17 s, 0.13 s of it for the successor codes, and the whole process peaks
-near 52 MB on a 2-core Xeon: numpy, then 5 bytes a state for the int32
-successor codes and the mask.
+`_free_strides` lays out the clamp-consistent space, a code digit per free
+vertex, and refuses it over the state limit or past 3^32 states; only then
+does `enumerate_attractors` or `build_sts` import the numpy code kernel in
+`srg._kernel`.  The kernel computes every state's successor code, each
+vertex's move over the axes of the vertices it reads, and takes the image
+of the space until it stops shrinking, which leaves the cycle nodes;
+walking those in ascending code order starts each attractor at its least
+state and yields a sorted list.  At 3^14 states (a random 14-vertex graph
+of density 0.16) enumeration takes 0.17 s, 0.13 s of it for the successor
+codes, and the whole process peaks near 52 MB on a 2-core Xeon: numpy,
+then 5 bytes a state for the int32 successor codes and the mask.
 """
 
 from __future__ import annotations
@@ -86,21 +86,21 @@ class TransitionSystem:
     code of its successor.  States are decoded only when asked for.
     """
 
-    def __init__(self, graph: RegulatoryGraph, successor):
+    def __init__(self, graph: RegulatoryGraph, strides, successor):
         self.graph = graph
+        self.strides = strides
         self.successor = successor
-        self.domains = _domains(graph, len(successor))
 
     @functools.cached_property
     def states(self) -> tuple:
-        return tuple(_states(self.graph, len(self)))
+        return tuple(_states(self.graph))
 
     def successor_of(self, state) -> TernaryState:
         from ._kernel import _decode
 
         st = _checked_state(self.graph, state)
-        code = sum((st[i] + 1) * stride for i, stride in _free_strides(self.domains))
-        return _decode(self.domains, [self.successor[code]])[0]
+        code = sum((st[i] + 1) * stride for i, stride in self.strides)
+        return _decode(self.graph, self.strides, [self.successor[code]])[0]
 
     def transitions(self):
         return ((s, self.states[k]) for s, k in zip(self.states, self.successor.tolist()))
@@ -135,17 +135,18 @@ def simulate(graph: RegulatoryGraph, start, max_steps=None) -> Trajectory:
     )
 
 
-def _domains(graph, state_limit):
-    """Each vertex's values in the clamp-consistent space; refuses one over `state_limit` states."""
-    free = graph.n - len(graph.clamps)
-    if 3 ** free > state_limit:
-        raise StateSpaceLimitError(free, 3 ** free, state_limit)
-    return [(graph.clamps[i],) if i in graph.clamps else (-1, 0, 1) for i in range(graph.n)]
+def _free_strides(graph, state_limit):
+    """(free vertex, code stride) pairs, first free vertex most significant.
 
-
-def _free_strides(domains):
-    """(free vertex, code stride) pairs, first free vertex most significant."""
-    free = [i for i, d in enumerate(domains) if len(d) == 3]
+    Refuses a space over `state_limit` states, and with MemoryError one past
+    3^32, whose int64 codes would take 14.8 PB.
+    """
+    free = [i for i in range(graph.n) if i not in graph.clamps]
+    size = 3 ** len(free)
+    if size > state_limit:
+        raise StateSpaceLimitError(len(free), size, state_limit)
+    if size > 3 ** 32:
+        raise MemoryError(f"{size} state codes are more than any machine can hold")
     return [(i, 3 ** (len(free) - 1 - j)) for j, i in enumerate(free)]
 
 
@@ -157,13 +158,15 @@ def _checked_state(graph, state) -> TernaryState:
     return st
 
 
-def _states(graph, state_limit):
-    return map(TernaryState, itertools.product(*_domains(graph, state_limit)))
+def _states(graph):
+    values = [(graph.clamps[i],) if i in graph.clamps else (-1, 0, 1) for i in range(graph.n)]
+    return map(TernaryState, itertools.product(*values))
 
 
 def enumerate_states(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
     """Every clamp-consistent state, in canonical order."""
-    return list(_states(graph, state_limit))
+    _free_strides(graph, state_limit)  # refuses an oversized space
+    return list(_states(graph))
 
 
 def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
@@ -172,14 +175,14 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     Returns a list sorted by each attractor's least state; refuses with
     StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`.
     """
-    domains = _domains(graph, state_limit)
+    strides = _free_strides(graph, state_limit)
     from ._kernel import _decode, _peel, _successor_codes
 
-    succ = _successor_codes(graph, state_limit)
+    succ = _successor_codes(graph, strides)
     on_cycle, _ = _peel(succ)
     codes = on_cycle.tolist()
     nxt = dict(zip(codes, succ[on_cycle].tolist()))
-    state_of = dict(zip(codes, _decode(domains, on_cycle)))
+    state_of = dict(zip(codes, _decode(graph, strides, on_cycle)))
     attractors = []
     for k in codes:
         cycle = []
@@ -193,10 +196,10 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
 
 def build_sts(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT) -> TransitionSystem:
     """The full transition system, as successor codes over every state."""
-    _domains(graph, state_limit)  # refuses before the kernel loads numpy
+    strides = _free_strides(graph, state_limit)
     from ._kernel import _successor_codes
 
-    return TransitionSystem(graph, _successor_codes(graph, state_limit))
+    return TransitionSystem(graph, strides, _successor_codes(graph, strides))
 
 
 def _normalized_state_set(graph, states):

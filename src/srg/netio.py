@@ -22,7 +22,7 @@ from importlib import resources
 
 from .boolenc import EquivalenceReport
 from .core import _NAME, RegulatoryGraph, TernaryState, _state_values
-from .dynamics import _TAIL_DIGITS, Attractor, Trajectory, TransitionSystem, _free_strides
+from .dynamics import _TAIL_DIGITS, Attractor, Trajectory, TransitionSystem
 from .errors import ParseError, UnknownVertexError
 from .phenotype import Phenotype, PhenotypeDecision, Witness
 
@@ -188,8 +188,9 @@ def transition_lines(sts: TransitionSystem, dot: bool):
     the rest: code c is heads[c // width] + tails[c % width].
     """
     quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
-    digits = [tuple(str(v) for v in domain) for domain in sts.domains]
-    lead = _free_strides(sts.domains)[:-_TAIL_DIGITS]
+    clamps = sts.graph.clamps
+    digits = [(str(clamps[i]),) if i in clamps else ("-1", "0", "1") for i in range(sts.graph.n)]
+    lead = sts.strides[:-_TAIL_DIGITS]
     split = lead[-1][0] + 1 if lead else 0
     heads = [quote + "(" + "".join(d + "," for d in p) for p in itertools.product(*digits[:split])]
     tails = [",".join(p) + ")" + quote for p in itertools.product(*digits[split:])]

@@ -31,6 +31,15 @@ def clamp_consistent_states(graph):
         yield TernaryState(values)
 
 
+def many_clamped_chain():
+    """A 70-vertex activation chain with all but 8 vertices clamped: 3^8
+    states, but more vertices than numpy allows array axes (64; 32 in 1.x)."""
+    names = [f"v{i}" for i in range(70)]
+    free = {0, 1, 20, 21, 22, 45, 68, 69}
+    clamps = {name: (-1, 1)[i % 2] for i, name in enumerate(names) if i not in free}
+    return RegulatoryGraph(names, list(zip(names, names[1:])), clamps=clamps)
+
+
 def brute_force_attractors(graph):
     """Oracle independent of the vectorized engine: simulate from every state."""
     found = {}

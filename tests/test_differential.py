@@ -36,7 +36,13 @@ from srg import (
 )
 from srg._kernel import _peel
 
-from helpers import clamp_consistent_states, random_graph, sampled_states, scalar_equivalence
+from helpers import (
+    clamp_consistent_states,
+    many_clamped_chain,
+    random_graph,
+    sampled_states,
+    scalar_equivalence,
+)
 from test_core import rule_value
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -186,6 +192,18 @@ def test_cross_check_reports_the_least_failing_code_over_all_vertices():
     report = exhaustive_check_with(graph, network)
     assert report.states_checked == 3
     assert report.counterexample[0] == (-1, -1, -1, 1)
+
+
+def test_cross_check_decodes_a_counterexample_among_many_clamps():
+    # v45, after the clamp v44 = -1, keeps v45 = 1, so v45_on fails first
+    # at code 2 * 3^2: v45 is the third-last of the 8 free digits.
+    graph = many_clamped_chain()
+    network = with_rules(encode_network(graph), BitRule("v45_on", constant=False))
+    report = exhaustive_check_with(graph, network)
+    assert report.states_checked == 2 * 3 ** 2 + 1
+    assert report.counterexample[0] == tuple(
+        1 if i == 45 else graph.clamps.get(i, -1) for i in range(graph.n)
+    )
 
 
 @PROPERTY

@@ -22,9 +22,14 @@ from srg import (
     update_vertex,
 )
 from srg._kernel import _code_dtype, _peel, _successor_codes
-from srg.dynamics import _BLOCK_STATES
+from srg.dynamics import _BLOCK_STATES, _free_strides
 
-from helpers import brute_force_attractors, clamp_consistent_states, random_graph
+from helpers import (
+    brute_force_attractors,
+    clamp_consistent_states,
+    many_clamped_chain,
+    random_graph,
+)
 
 # Frozen from the brute-force oracle (simulate from each of the 27 states).
 FIG1A_ATTRACTORS = [
@@ -200,7 +205,8 @@ def kernel_corpus():
 
 
 def edge_case_graphs():
-    """Graphs with no free vertex, one vertex, or only clamped regulators."""
+    """Graphs with no free vertex, one vertex, only clamped regulators, or
+    more vertices than numpy allows axes."""
     graphs = [
         RegulatoryGraph(["A", "B"], [("A", "B")], [("B", "A")], {"A": 1, "B": -1}),
         RegulatoryGraph(["X"], [("X", "X")]),
@@ -214,6 +220,7 @@ def edge_case_graphs():
                 ["A", "B", "C", "D"], [("A", "C"), ("C", "D")], [("B", "C"), ("D", "D")],
                 {"A": a, "B": b},
             ))
+    graphs.append(many_clamped_chain())
     return graphs
 
 
@@ -312,7 +319,7 @@ class TestKernel:
         for graph in graphs:
             tracemalloc.start()
             try:
-                succ = _successor_codes(graph, 3 ** 12)
+                succ = _successor_codes(graph, _free_strides(graph, 3 ** 12))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -322,6 +329,18 @@ class TestKernel:
     def test_chain_oracle_agrees_with_brute_force(self):
         graph = chain(6)
         assert chain_fixed_points(graph) == brute_force_attractors(graph)
+
+    def test_free_strides_skip_clamps_and_refuse_before_any_array(self):
+        graph = chain(5).with_clamps({"v1": 1, "v3": -1})
+        assert _free_strides(graph, 27) == [(0, 9), (2, 3), (4, 1)]
+        with pytest.raises(StateSpaceLimitError):
+            _free_strides(graph, 26)
+        # The state limit is checked first; past 3^32 no limit admits the space.
+        with pytest.raises(StateSpaceLimitError):
+            _free_strides(chain(40), 3 ** 14)
+        with pytest.raises(MemoryError):
+            _free_strides(chain(33), 3 ** 45)
+        assert _free_strides(chain(32), 3 ** 45)[0] == (0, 3 ** 31)
 
     def test_code_dtype(self):
         assert _code_dtype(3 ** 19) is np.int32
@@ -342,7 +361,12 @@ class TestStateEnumeration:
 
     def test_matches_reference_walk(self, fig1a, fig1b, mapk):
         for graph in [fig1a, fig1b, mapk] + kernel_corpus() + edge_case_graphs():
-            assert enumerate_states(graph) == list(clamp_consistent_states(graph))
+            states = list(clamp_consistent_states(graph))
+            assert enumerate_states(graph) == states
+            sts = build_sts(graph)
+            assert sts.states == tuple(states)
+            for state in states:
+                assert sts.successor_of(state) == step(graph, state)
 
 
 class TestTransitionSystem:

@@ -2,10 +2,12 @@
 
 `srg._kernel` is the one module that imports numpy.  `enumerate_attractors`,
 `build_sts` and `check_simulation_equivalence` import it on first use, after
-their state-limit check, so a step, a trajectory, a phenotype decision, a
-witness, the graph and its encoding start without numpy; `test_cli.py`
-checks the limit refusals.  Each check runs in a fresh interpreter, since
-an imported module stays in `sys.modules`.
+`dynamics._free_strides` has decided the space, so a step, a trajectory, a
+phenotype decision, a witness, the graph and its encoding start without
+numpy, and so does a space that `_free_strides` refuses, over `--limit` or
+past 3^32 states; `test_cli.py` checks the refusals' output.  Each check
+runs in a fresh interpreter, since an imported module stays in
+`sys.modules`.
 """
 
 import pytest
@@ -37,6 +39,16 @@ def test_import_loads_no_numpy(statement):
 def test_calls_that_never_enumerate_load_no_numpy(argv, code):
     got, _, _, numpy_loaded = run_srg_fresh(*argv)
     assert (got, numpy_loaded) == (code, False)
+
+
+@pytest.mark.parametrize("command", ["attractors", "sts", "verify-bn"])
+def test_space_past_any_array_is_refused_before_numpy_loads(tmp_path, command):
+    # 3^40 states: within --limit 3^45, past the 3^32 that any array of codes holds.
+    names = [f"v{i}" for i in range(40)]
+    path = tmp_path / "chain40.srg"
+    path.write_text("".join(f"{u} -> {v}\n" for u, v in zip(names, names[1:])))
+    got = run_srg_fresh(command, str(path), "--limit", str(3 ** 45))
+    assert got == (3, "", "srg: out of memory; try a smaller network or a lower --limit\n", False)
 
 
 @pytest.mark.parametrize("argv", [
