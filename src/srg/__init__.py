@@ -29,7 +29,6 @@ from .core import (
     INACTIVE,
     INHIBITION,
     TERNARY_VALUES,
-    RegSet,
     RegulatoryGraph,
     TernaryState,
     apply_clamps,

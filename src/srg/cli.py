@@ -9,6 +9,8 @@ out of memory, 130 (128 + SIGINT) when interrupted with Ctrl-C, 141
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import os
 import sys
 
@@ -28,7 +30,6 @@ from .netio import (
     parse_network,
     parse_phenotype,
     parse_state,
-    render_report,
     serialize_network,
     state_json,
     trajectory_json,
@@ -57,7 +58,12 @@ def _load_network(source: str):
 
 
 def _emit(report):
-    print(render_report(report), end="")
+    """Write `render_report(report)` to stdout a few thousand chunks at a time:
+    one write per chunk is slow, and one join holds the whole text."""
+    chunks = json.JSONEncoder(indent=2).iterencode(report)
+    while batch := list(itertools.islice(chunks, 4096)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _print_states(header, states):
@@ -220,10 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     def json_flag(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    def limit_flag(p):
+    def limit_flag(p, note=""):
         p.add_argument(
             "--limit", type=int, default=DEFAULT_STATE_LIMIT,
-            help="refuse state spaces larger than this many states",
+            help="refuse state spaces larger than this many states" + note,
         )
 
     p = sub.add_parser("step", help="apply the synchronous update to a state")
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="paths: authoritative wiring test; literal: diagnostic weaker test; "
         "oracle: exhaustive enumeration (works with clamps)",
     )
-    limit_flag(pc)
+    limit_flag(pc, "; --mode paths or literal ignores it")
     json_flag(pc)
     pc.set_defaults(func=_cmd_phenotype_check)
 
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check this many random states instead of every clamp-consistent one")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --samples draws; the exhaustive check ignores it")
-    limit_flag(p)
+    limit_flag(p, "; --samples ignores it")
     json_flag(p)
     p.set_defaults(func=_cmd_verify_bn)
 

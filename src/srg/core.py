@@ -11,7 +11,6 @@ stand in as one of its regulators (the reflexive extension below).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import UnknownVertexError
@@ -57,41 +56,6 @@ class TernaryState(tuple):
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(v) for v in self) + ")"
-
-
-@dataclass(frozen=True)
-class RegSet:
-    """Which influence strengths are present among a vertex's regulators.
-
-    Only membership of 1 (some active regulator) and of 0 (some ambiguous
-    one) matters to the update rule, so the set is stored as two flags.
-    """
-
-    has_active: bool = False
-    has_ambiguous: bool = False
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "RegSet":
-        vals = set(values)
-        return cls(has_active=1 in vals, has_ambiguous=0 in vals)
-
-    def __bool__(self) -> bool:
-        return self.has_active or self.has_ambiguous
-
-    @property
-    def is_empty(self) -> bool:
-        return not self
-
-    def __contains__(self, value: object) -> bool:
-        return (value == 1 and self.has_active) or (value == 0 and self.has_ambiguous)
-
-    def as_set(self) -> frozenset:
-        out = set()
-        if self.has_ambiguous:
-            out.add(0)
-        if self.has_active:
-            out.add(1)
-        return frozenset(out)
 
 
 class RegulatoryGraph:
@@ -260,18 +224,19 @@ def _influences(st, preds):
     return has_active, has_ambiguous
 
 
-def regulators(graph: RegulatoryGraph, state, vertex, sign) -> RegSet:
+def regulators(graph: RegulatoryGraph, state, vertex, sign) -> frozenset:
     """Influence strengths reaching `vertex` over edges of one sign.
 
-    Collects state(u) over all sign-edges (u, vertex) where state(u) is 0
-    or 1; inactive regulators contribute nothing.
+    The set of state(u) over all sign-edges (u, vertex), less -1: inactive
+    regulators contribute nothing.  Written out from the definition rather
+    than through `step`'s scan, so the tests can hold one against the other.
     """
     i = graph.index_of(vertex)
     st = _state_values(graph, state)
-    return RegSet(*_influences(st, _signed_preds(graph, i, sign)))
+    return frozenset(st[u] for u in _signed_preds(graph, i, sign)) - {-1}
 
 
-def regulators_reflexive(graph: RegulatoryGraph, state, vertex, sign) -> RegSet:
+def regulators_reflexive(graph: RegulatoryGraph, state, vertex, sign) -> frozenset:
     """Like :func:`regulators`, with the vertex's own value folded in.
 
     On the activating side the vertex contributes its own value when it is
@@ -281,9 +246,8 @@ def regulators_reflexive(graph: RegulatoryGraph, state, vertex, sign) -> RegSet:
     """
     i = graph.index_of(vertex)
     st = _state_values(graph, state)
-    has_active, has_ambiguous = _influences(st, _signed_preds(graph, i, sign))
     own = st[i] if sign == ACTIVATION else -st[i]
-    return RegSet(has_active or own == 1, has_ambiguous or own == 0)
+    return (regulators(graph, st, i, sign) | {own}) - {-1}
 
 
 def _update_index(graph, st, i) -> int:

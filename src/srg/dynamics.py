@@ -29,7 +29,9 @@ from .errors import StateSpaceLimitError, StepBudgetError
 # reachable states; this caps that count, not 3^n.
 DEFAULT_STATE_LIMIT = 3 ** 14
 
-# A block fixes the leading free digits and varies the last _TAIL_DIGITS.
+# A kernel slice varies the last _TAIL_DIGITS vertices of a local shape, an
+# `sts` label tail the last _TAIL_DIGITS free vertices; the sampled check
+# draws _BLOCK_STATES states a batch.
 _TAIL_DIGITS = 9
 _BLOCK_STATES = 3 ** _TAIL_DIGITS
 
@@ -173,7 +175,8 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     """Every attractor of the clamp-consistent state space.
 
     Returns a list sorted by each attractor's least state; refuses with
-    StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`.
+    StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`, and
+    with MemoryError past 3^32 states, which no array of codes can hold.
     """
     strides = _free_strides(graph, state_limit)
     from ._kernel import _decode, _peel, _successor_codes

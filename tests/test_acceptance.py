@@ -174,17 +174,17 @@ def test_criterion_7_inertia_and_ambiguity_property_suites():
                     total += 1
                     plus = regulators(graph, state, v, "+")
                     minus = regulators(graph, state, v, "-")
-                    if plus.is_empty and minus.is_empty:
+                    if not plus and not minus:
                         inertia_hits += 1
                         assert nxt[v] == state[v]
                     else:
                         ambiguity_hits += 1
                         expect_zero = (
                             (bool(plus) and bool(minus))
-                            or (regulators_reflexive(graph, state, v, "+").as_set() == {0}
-                                and minus.is_empty)
-                            or (regulators_reflexive(graph, state, v, "-").as_set() == {0}
-                                and plus.is_empty)
+                            or (regulators_reflexive(graph, state, v, "+") == {0}
+                                and not minus)
+                            or (regulators_reflexive(graph, state, v, "-") == {0}
+                                and not plus)
                         )
                         assert (nxt[v] == 0) == expect_zero
         assert total >= 100_000, total

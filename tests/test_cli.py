@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -11,8 +12,9 @@ import tracemalloc
 
 import pytest
 
-from srg import load_example, serialize_network
+from srg import enumerate_attractors, load_example, parse_network, serialize_network
 from srg.cli import build_parser, main
+from srg.netio import analysis_report, attractor_json, render_report
 
 from helpers import SRG_SRC, random_graph, reference_sts_dot, reference_sts_text, run_srg_fresh
 
@@ -94,6 +96,32 @@ class TestAttractors:
         code, _, err = run(capsys, "attractors", "mapk", "--limit", "10")
         assert code == 3
         assert "exceeds the limit" in err
+
+    def test_json_report_is_streamed(self, capsys, tmp_path):
+        # Every state of the self-activation map is a fixed point: 3^8
+        # attractors, whose chunks span many of the batches _emit writes.
+        text = "".join(f"v{i} -> v{i}\n" for i in range(8))
+        path = tmp_path / "identity8.srg"
+        path.write_text(text)
+        argv = ["attractors", str(path), "--json"]
+        import srg._kernel  # noqa: F401  (numpy loads before the trace starts)
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1200 * 3 ** 8
+
+        graph = parse_network(text)
+        attractors = enumerate_attractors(graph)
+        report = analysis_report("attractors", graph, {
+            "count": len(attractors),
+            "attractors": [attractor_json(a) for a in attractors],
+        })
+        assert run(capsys, *argv) == (0, render_report(report), "")
 
     @pytest.mark.parametrize("command", ["attractors", "sts", "verify-bn"])
     def test_space_past_any_array_exits_3_without_allocating(self, capsys, tmp_path, command):

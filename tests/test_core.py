@@ -6,7 +6,6 @@ import random
 import pytest
 
 from srg import (
-    RegSet,
     RegulatoryGraph,
     TernaryState,
     UnknownVertexError,
@@ -25,53 +24,53 @@ A2 = TernaryState((0, 1, 1))
 
 def rule_value(graph, state, v):
     """The three-case update rule spelled out through the regulator sets."""
-    if 1 in regulators_reflexive(graph, state, v, "+") and regulators(graph, state, v, "-").is_empty:
+    if 1 in regulators_reflexive(graph, state, v, "+") and not regulators(graph, state, v, "-"):
         return 1
-    if 1 in regulators_reflexive(graph, state, v, "-") and regulators(graph, state, v, "+").is_empty:
+    if 1 in regulators_reflexive(graph, state, v, "-") and not regulators(graph, state, v, "+"):
         return -1
     return 0
 
 
 class TestRegulatorSets:
     def test_worked_example_first_state(self, fig1a):
-        assert regulators(fig1a, A1, "A", "+").as_set() == {1}
-        assert regulators(fig1a, A1, "A", "-").as_set() == {1}
-        assert regulators_reflexive(fig1a, A1, "A", "+").as_set() == {1}
-        assert regulators_reflexive(fig1a, A1, "A", "-").as_set() == {1}
+        assert regulators(fig1a, A1, "A", "+") == {1}
+        assert regulators(fig1a, A1, "A", "-") == {1}
+        assert regulators_reflexive(fig1a, A1, "A", "+") == {1}
+        assert regulators_reflexive(fig1a, A1, "A", "-") == {1}
 
-        assert regulators(fig1a, A1, "B", "+").is_empty
-        assert regulators(fig1a, A1, "B", "-").is_empty
-        assert regulators_reflexive(fig1a, A1, "B", "+").as_set() == {1}
-        assert regulators_reflexive(fig1a, A1, "B", "-").is_empty
+        assert not regulators(fig1a, A1, "B", "+")
+        assert not regulators(fig1a, A1, "B", "-")
+        assert regulators_reflexive(fig1a, A1, "B", "+") == {1}
+        assert not regulators_reflexive(fig1a, A1, "B", "-")
 
         # C has no incoming edges at all
-        assert regulators(fig1a, A1, "C", "+").is_empty
-        assert regulators(fig1a, A1, "C", "-").is_empty
-        assert regulators_reflexive(fig1a, A1, "C", "+").as_set() == {1}
+        assert not regulators(fig1a, A1, "C", "+")
+        assert not regulators(fig1a, A1, "C", "-")
+        assert regulators_reflexive(fig1a, A1, "C", "+") == {1}
 
     def test_worked_example_ambiguous_state(self, fig1a):
-        assert regulators_reflexive(fig1a, A2, "A", "+").as_set() == {0, 1}
-        assert regulators_reflexive(fig1a, A2, "A", "-").as_set() == {0, 1}
-        assert regulators(fig1a, A2, "B", "+").as_set() == {0}
-        assert regulators(fig1a, A2, "B", "-").is_empty
-        assert regulators_reflexive(fig1a, A2, "B", "+").as_set() == {0, 1}
+        assert regulators_reflexive(fig1a, A2, "A", "+") == {0, 1}
+        assert regulators_reflexive(fig1a, A2, "A", "-") == {0, 1}
+        assert regulators(fig1a, A2, "B", "+") == {0}
+        assert not regulators(fig1a, A2, "B", "-")
+        assert regulators_reflexive(fig1a, A2, "B", "+") == {0, 1}
 
     def test_edgeless_graph_has_empty_regulator_sets(self):
         graph = RegulatoryGraph(["X", "Y"])
         for state in itertools.product((-1, 0, 1), repeat=2):
             for v in ("X", "Y"):
                 for sign in ("+", "-"):
-                    assert regulators(graph, state, v, sign).is_empty
+                    assert not regulators(graph, state, v, sign)
 
     def test_reflexive_sets_of_isolated_ambiguous_vertex(self):
         graph = RegulatoryGraph(["X"])
-        assert regulators_reflexive(graph, (0,), "X", "+").as_set() == {0}
-        assert regulators_reflexive(graph, (0,), "X", "-").as_set() == {0}
+        assert regulators_reflexive(graph, (0,), "X", "+") == {0}
+        assert regulators_reflexive(graph, (0,), "X", "-") == {0}
 
     def test_inactive_vertex_feeds_its_own_inhibition_side(self):
         graph = RegulatoryGraph(["X"])
-        assert regulators_reflexive(graph, (-1,), "X", "-").as_set() == {1}
-        assert regulators_reflexive(graph, (-1,), "X", "+").is_empty
+        assert regulators_reflexive(graph, (-1,), "X", "-") == {1}
+        assert not regulators_reflexive(graph, (-1,), "X", "+")
 
     def test_bad_sign_rejected(self, fig1a):
         with pytest.raises(ValueError):
@@ -82,17 +81,6 @@ class TestRegulatorSets:
             regulators(fig1a, A1, "Q", "+")
         with pytest.raises(UnknownVertexError):
             update_vertex(fig1a, A1, 17)
-
-
-class TestRegSet:
-    def test_of_and_membership(self):
-        rs = RegSet.of([0, 1, 1])
-        assert 0 in rs and 1 in rs
-        assert rs.as_set() == {0, 1}
-        assert bool(rs)
-        assert RegSet.of([]).is_empty
-        assert RegSet.of([1]).as_set() == {1}
-        assert -1 not in RegSet.of([1])
 
 
 class TestUpdateVertex:
@@ -212,8 +200,8 @@ def ambiguity_expected(graph, state, v):
     refl_minus = regulators_reflexive(graph, state, v, "-")
     return (
         (bool(plus) and bool(minus))
-        or (refl_plus.as_set() == {0} and minus.is_empty)
-        or (refl_minus.as_set() == {0} and plus.is_empty)
+        or (refl_plus == {0} and not minus)
+        or (refl_minus == {0} and not plus)
     )
 
 
@@ -262,15 +250,15 @@ class TestCaseProperties:
             minus = regulators(graph, state, v, "-")
             nxt = step(graph, state)[v]
             cur = state[v]
-            if cur == 1 and minus.is_empty:
+            if cur == 1 and not minus:
                 assert nxt == 1
-            if cur == -1 and plus.is_empty:
+            if cur == -1 and not plus:
                 assert nxt == -1
             if cur == 0 and 1 not in plus and 1 not in minus:
                 assert nxt == 0
-            if 1 in plus and minus.is_empty:
+            if 1 in plus and not minus:
                 assert nxt == 1
-            if 1 in minus and plus.is_empty:
+            if 1 in minus and not plus:
                 assert nxt == -1
             if plus and minus:
                 assert nxt == 0
