@@ -56,7 +56,6 @@ from .errors import (
     StateSpaceLimitError,
     StepBudgetError,
     UnknownVertexError,
-    UnsupportedGraphError,
 )
 from .netio import (
     EXAMPLE_NETWORKS,

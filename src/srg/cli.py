@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--mode", choices=("paths", "literal", "oracle"), default="paths",
         help="paths: authoritative wiring test; literal: diagnostic weaker test; "
-        "oracle: exhaustive enumeration (works with clamps)",
+        "oracle: exhaustive enumeration",
     )
     limit_flag(pc, "; --mode paths or literal ignores it")
     json_flag(pc)

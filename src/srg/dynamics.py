@@ -140,9 +140,11 @@ def simulate(graph: RegulatoryGraph, start, max_steps=None) -> Trajectory:
 def _free_strides(graph, state_limit):
     """(free vertex, code stride) pairs, first free vertex most significant.
 
-    Refuses a space over `state_limit` states, and with MemoryError one past
-    3^32, whose int64 codes would take 14.8 PB.
+    Refuses a `state_limit` below 1, a space over it, and with MemoryError
+    one past 3^32, whose int64 codes would take 14.8 PB.
     """
+    if state_limit < 1:
+        raise ValueError("state_limit must be positive")
     free = [i for i in range(graph.n) if i not in graph.clamps]
     size = 3 ** len(free)
     if size > state_limit:

@@ -36,9 +36,5 @@ class StepBudgetError(SRGError):
     """A simulation ran out of steps before its trajectory cycled."""
 
 
-class UnsupportedGraphError(SRGError):
-    """The requested analysis does not apply to this graph configuration."""
-
-
 class InvalidCodeError(SRGError):
     """A two-bit vertex code that does not encode any ternary value."""

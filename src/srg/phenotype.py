@@ -5,9 +5,8 @@ some attractor realizes it is decidable from the wiring alone, in two
 readings: a path-based one, which is authoritative, and a weaker
 predecessor-only one kept as a diagnostic.  The constructive side builds a
 witness attractor by freezing every vertex that the phenotype forces to -1
-and simulating from there.  Both assume an unclamped graph; for clamped
-graphs use the exhaustive :func:`attractors_with_phenotype`, which walks
-only the states where the targets hold.
+and simulating from there.  Both reduce the clamps away first: a clamp
+overwrites its vertex's rule, so the edges into a clamped vertex never matter.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Mapping
 
 from .core import RegulatoryGraph, TernaryState, _state_values
 from .dynamics import DEFAULT_STATE_LIMIT, Attractor, enumerate_attractors, is_trap_set, simulate
-from .errors import SRGError, UnsupportedGraphError
+from .errors import SRGError
 
 log = logging.getLogger(__name__)
 
@@ -148,12 +147,16 @@ def _bfs_path(parent, end):
     return out
 
 
-def _require_unclamped(graph, what):
-    if graph.clamps:
-        raise UnsupportedGraphError(
-            f"{what} assumes an unclamped graph; analyze clamped graphs "
-            "exhaustively with attractors_with_phenotype()"
-        )
+def _reduce_clamps(graph, phenotype):
+    """G' (`graph` less its clamps and every edge into a clamped vertex), the
+    targets merged with the clamps, and the first target clamped the other
+    way or None.  G's attractors are those of G' that hold the clamps."""
+    required = _resolve_targets(graph, phenotype)
+    conflict = next((i for i, v in required.items() if graph.clamps.get(i, v) != v), None)
+    edges = [[(u, v) for u, v in sorted(signed) if v not in graph.clamps]
+             for signed in (graph.activation_edges, graph.inhibition_edges)]
+    reduced = RegulatoryGraph(graph.vertices, *edges)
+    return reduced, dict(sorted({**required, **graph.clamps}.items())), conflict
 
 
 def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PATHS) -> PhenotypeDecision:
@@ -170,11 +173,14 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
     an active target among its activation ancestors.  Admissibility in
     paths mode implies admissibility here, not conversely; divergences are
     logged.
+
+    On a clamped graph both modes decide the targets merged with the clamps,
+    with the clamps reduced away.  A target v clamped the other way adds a
+    violation from v to v along (v,), rule "a" in paths and "b" in literal.
     """
     if mode not in (MODE_PATHS, MODE_LITERAL):
         raise ValueError(f"mode must be 'paths' or 'literal', got {mode!r}")
-    _require_unclamped(graph, "the wiring-based phenotype decision")
-    required = _resolve_targets(graph, phenotype)
+    reduced, required, clamp_conflict = _reduce_clamps(graph, phenotype)
     active = [i for i, v in required.items() if v == 1]
     inactive = [i for i, v in required.items() if v == -1]
     names = graph.vertices
@@ -182,7 +188,7 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
 
     if mode == MODE_LITERAL:
         for v in active:
-            for u in graph.inhibition_in[v]:
+            for u in reduced.inhibition_in[v]:
                 if required.get(u) == 1:
                     violations.append(
                         Violation("a", names[u], names[v], (names[u],), (names[u], names[v]))
@@ -190,20 +196,23 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
 
     reach_rule = "a" if mode == MODE_PATHS else "b"
     for u in active:
-        dist, parent = _bfs(graph.activation_out, [u])
+        dist, parent = _bfs(reduced.activation_out, [u])
         for v in inactive:
             if v in dist:
                 path = tuple(names[i] for i in _bfs_path(parent, v))
                 violations.append(Violation(reach_rule, names[u], names[v], path))
         if mode == MODE_PATHS:
             for v in active:
-                hits = [x for x in graph.inhibition_in[v] if x in dist]
+                hits = [x for x in reduced.inhibition_in[v] if x in dist]
                 if hits:
                     x = min(hits, key=lambda k: (dist[k], k))
                     path = tuple(names[i] for i in _bfs_path(parent, x))
                     violations.append(
                         Violation("b", names[u], names[v], path, (names[x], names[v]))
                     )
+    if clamp_conflict is not None:
+        name = names[clamp_conflict]
+        violations.append(Violation(reach_rule, name, name, (name,)))
 
     decision = PhenotypeDecision(
         admissible=not violations, mode=mode, violations=tuple(violations)
@@ -228,15 +237,17 @@ def phenotype_witness(graph: RegulatoryGraph, phenotype: Phenotype, completion=-
     stay frozen along any run, so simulating from the marking completed by
     `completion` (a ternary constant for the unmarked vertices, or a full
     state to draw them from) yields a witness attractor.
+
+    On a clamped graph the marking starts from the targets merged with the
+    clamps, with the clamps reduced away; a target clamped the other way is
+    the conflict.
     """
-    _require_unclamped(graph, "witness construction")
-    required = _resolve_targets(graph, phenotype)
+    reduced, required, conflict = _reduce_clamps(graph, phenotype)
     marked = dict(required)
     queue = deque(marked)
-    conflict = None
     while queue and conflict is None:
         x = queue.popleft()
-        preds = graph.inhibition_in[x] if marked[x] == 1 else graph.activation_in[x]
+        preds = reduced.inhibition_in[x] if marked[x] == 1 else reduced.activation_in[x]
         for p in preds:
             existing = marked.get(p)
             if existing == 1:

@@ -220,10 +220,15 @@ class TestPhenotypeCommands:
         assert out.startswith("15 matching attractors")
         assert run(capsys, "attractors", "mapk", "--limit", "81")[0] == 3
 
-    def test_paths_mode_on_clamped_graph_exits_2(self, capsys):
-        code, _, err = run(capsys, "phenotype", "check", "mapk", "--target", "FOXO3=1")
-        assert code == 2
-        assert "unclamped" in err
+    @pytest.mark.parametrize("target, code, out", [
+        ("AKT=1", 0, "admissible\n"),
+        ("FOXO3=1,AKT=1", 1, "inadmissible\n  rule (b): active AKT: AKT then AKT -| FOXO3 (active)\n"),
+        ("RTK=1", 1, "inadmissible\n  rule (a): active RTK: RTK reaches inactive RTK\n"),
+    ], ids=["admissible", "rule-b", "clamp-conflict"])
+    def test_paths_mode_on_clamped_graph(self, capsys, target, code, out):
+        assert run(capsys, "phenotype", "check", "mapk", "--target", target) == (code, out, "")
+        oracle = run(capsys, "phenotype", "check", "mapk", "--target", target, "--mode", "oracle")
+        assert oracle[0] == code
 
     def test_paths_mode(self, capsys, unclamped_mapk_file):
         code, out, _ = run(
@@ -276,6 +281,16 @@ class TestPhenotypeCommands:
         report = json.loads(out)
         assert report["result"]["admissible"] is True
         assert report["result"]["marking"]["FOXO3"] == -1
+
+    def test_witness_on_clamped_graph(self, capsys):
+        target = ["--target", "AKT=1", "--json"]
+        code, out, _ = run(capsys, "phenotype", "witness", "mapk", *target)
+        assert code == 0
+        witness = json.loads(out)["result"]
+        assert witness["marking"] == {"RTK": -1, "AKT": 1}
+        oracle = json.loads(run(capsys, "phenotype", "check", "mapk", *target, "--mode", "oracle")[1])
+        assert len(oracle["result"]["attractors"]) == 15
+        assert witness["attractor"] in oracle["result"]["attractors"]
 
 
 class TestBooleanCommands:
@@ -336,6 +351,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ("verify-bn", "fig1a", "--samples", "0"),
         ("simulate", "fig1b", "(1,-1,1)", "--max-steps", "0"),
+        ("attractors", "fig1a", "--limit", "0"),
+        ("phenotype", "check", "mapk", "--target", "AKT=1", "--mode", "oracle", "--limit", "-1"),
     ])
     def test_value_error_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -411,12 +428,17 @@ def test_closed_stdout_pipe_exits_141_quietly(argv):
     assert err == b""
 
 
-def _readme_synopsis():
-    """README's "Command line" synopsis: subcommand -> the options it lists."""
+def _readme_block(section):
+    """The first fenced block under README's `section` heading, fence line included."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as handle:
         text = handle.read()
-    block = text.split("## Command line", 1)[1].split("```")[1]
+    return text.split(f"## {section}", 1)[1].split("```")[1]
+
+
+def _readme_synopsis():
+    """README's "Command line" synopsis: subcommand -> the options it lists."""
+    block = _readme_block("Command line")
     synopsis = {}
     for line in block.strip().splitlines():
         words = line.split()[1:]
@@ -450,3 +472,15 @@ def test_readme_synopsis_matches_parser():
         assert listed <= known, (command, listed - known)
         missing = [a.option_strings for a in actions if not listed & set(a.option_strings)]
         assert not missing, (command, missing)
+
+
+def test_readme_quick_start_runs():
+    block = _readme_block("Library quick start")
+    assert block.startswith("python\n")
+    namespace = {}
+    exec(block.removeprefix("python\n"), namespace)
+    # "expression  # -> value" or "expression  # -> value, remark"
+    shown = re.findall(r"^(.+?)\s+# -> (.+?)(?:, .*)?$", block, re.M)
+    assert len(shown) == 7
+    for expression, value in shown:
+        assert repr(eval(expression, namespace)) == value, expression

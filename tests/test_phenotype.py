@@ -1,5 +1,6 @@
 """Phenotype decisions, witness construction, and the exhaustive oracle."""
 
+import itertools
 import logging
 import random
 
@@ -14,7 +15,8 @@ from srg import (
     TernaryState,
     Trajectory,
     UnknownVertexError,
-    UnsupportedGraphError,
+    Violation,
+    WitnessMarking,
     activation_reachable,
     attractors_with_phenotype,
     decide_phenotype,
@@ -96,9 +98,21 @@ class TestDecide:
         rule_a = [v for v in decision.violations if v.rule == "a"]
         assert rule_a[0].activation_path == ("RTK", "PI3K", "PIP3", "AKT")
 
-    def test_clamped_graph_refused(self, mapk):
-        with pytest.raises(UnsupportedGraphError, match="attractors_with_phenotype"):
-            decide_phenotype(mapk, Phenotype({"FOXO3": 1}))
+    def test_clamped_graph_is_decided_with_its_clamps(self, mapk):
+        # mapk clamps RTK to -1
+        assert decide_phenotype(mapk, Phenotype({"AKT": 1})).admissible
+        (violation,) = decide_phenotype(mapk, Phenotype({"FOXO3": 1, "AKT": 1})).violations
+        assert violation == Violation("b", "AKT", "FOXO3", ("AKT",), ("AKT", "FOXO3"))
+        # a clamped active input is a source like an active target
+        graph = RegulatoryGraph(["I", "X"], [("I", "X")], clamps={"I": 1})
+        (violation,) = decide_phenotype(graph, Phenotype({"X": -1})).violations
+        assert violation == Violation("a", "I", "X", ("I", "X"))
+
+    @pytest.mark.parametrize("mode, rule", [("paths", "a"), ("literal", "b")])
+    def test_target_clamped_the_other_way(self, mapk, mode, rule):
+        decision = decide_phenotype(mapk, Phenotype({"RTK": 1}), mode=mode)
+        assert not decision.admissible
+        assert decision.violations == (Violation(rule, "RTK", "RTK", ("RTK",)),)
 
     def test_unknown_target(self, mapk_plain):
         with pytest.raises(UnknownVertexError):
@@ -187,9 +201,14 @@ class TestWitness:
         with pytest.raises(ValueError):
             phenotype_witness(mapk_plain, Phenotype({}), completion=(1, 1))
 
-    def test_clamped_graph_refused(self, mapk):
-        with pytest.raises(UnsupportedGraphError):
-            phenotype_witness(mapk, Phenotype({"FOXO3": 1}))
+    def test_clamped_graph_marks_its_clamps(self, mapk):
+        witness = phenotype_witness(mapk, Phenotype({"AKT": 1}))
+        assert witness.admissible
+        assert witness.marking.marked == {"RTK": -1, "AKT": 1}
+        assert witness.attractor in attractors_with_phenotype(mapk, Phenotype({"AKT": 1}))
+        conflict = phenotype_witness(mapk, Phenotype({"RTK": 1, "AKT": 1}))
+        assert not conflict.admissible
+        assert conflict.marking == WitnessMarking({"RTK": -1, "AKT": 1}, conflict="RTK")
 
     def test_dropped_phenotype_fails_closed(self, mapk_plain, monkeypatch):
         # A broken marking closure must raise, also under python -O.
@@ -263,7 +282,8 @@ class TestOracle:
 
 
 class TestAgreementProperties:
-    """decide(paths), the witness, and the exhaustive oracle must agree."""
+    """decide(paths), the witness, and the exhaustive oracle must agree, on
+    clamped graphs too."""
 
     CORPUS_SEED = 424242
 
@@ -271,7 +291,8 @@ class TestAgreementProperties:
         rng = random.Random(self.CORPUS_SEED)
         for _ in range(120):
             graph = random_graph(
-                rng, n=rng.randint(2, 6), density=rng.choice((0.1, 0.25, 0.4))
+                rng, n=rng.randint(2, 6), density=rng.choice((0.1, 0.25, 0.4)),
+                clamp_chance=rng.choice((0.0, 0.3)),
             )
             phenotypes = [random_phenotype(rng, graph) for _ in range(4)]
             yield graph, phenotypes
@@ -300,6 +321,19 @@ class TestAgreementProperties:
             for phenotype in phenotypes:
                 if decide_phenotype(graph, phenotype).admissible:
                     assert decide_phenotype(graph, phenotype, mode="literal").admissible
+
+    def test_every_phenotype_of_clamped_mapk(self, mapk):
+        # each vertex untargeted, -1 or 1: 3^7 phenotypes, RTK=1 among them
+        for values in itertools.product((None, -1, 1), repeat=mapk.n):
+            phenotype = Phenotype(
+                {name: v for name, v in zip(mapk.vertices, values) if v is not None}
+            )
+            matches = attractors_with_phenotype(mapk, phenotype)
+            assert decide_phenotype(mapk, phenotype).admissible == bool(matches)
+            witness = phenotype_witness(mapk, phenotype)
+            assert witness.admissible == bool(matches)
+            if matches:
+                assert witness.attractor in matches
 
 
 class TestPhenotypeValue:

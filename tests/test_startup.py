@@ -35,7 +35,10 @@ def test_import_loads_no_numpy(statement):
     (("phenotype", "check", "fig1a", "--target", "A=1,B=-1"), 1),
     (("phenotype", "check", "fig1b", "--target", "A=1,B=1", "--mode", "literal"), 0),
     (("phenotype", "witness", "fig1b", "--target", "A=1", "--json"), 0),
-], ids=["step", "simulate", "graph", "graph-dot", "encode-bn", "paths", "literal", "witness"])
+    (("phenotype", "check", "mapk", "--target", "AKT=1"), 0),
+    (("phenotype", "witness", "mapk", "--target", "AKT=1"), 0),
+], ids=["step", "simulate", "graph", "graph-dot", "encode-bn", "paths", "literal", "witness",
+        "paths-clamped", "witness-clamped"])
 def test_calls_that_never_enumerate_load_no_numpy(argv, code):
     got, _, _, numpy_loaded = run_srg_fresh(*argv)
     assert (got, numpy_loaded) == (code, False)
