@@ -8,15 +8,14 @@ decision, a witness, the graph or its Boolean encoding) never loads numpy.
 Enumeration works on state codes: mixed-radix base 3 over the free vertices
 with the strides of `_free_strides`, first vertex most significant, so code
 order is the lexicographic order of the state tuples and the codes are the
-C-order cells of a `(3,) * f` array over the f free vertices.  The rule is
-local: a free vertex's move, like its bit rules, reads only itself and a
-few other vertices, so both run over the axes of those vertices alone, in
-slices of at most 3^9 cells.  The successor kernel adds each move's stride
-up or down into every code by broadcasting; the exhaustive Boolean
-cross-check stops at each vertex's first failing slice.  Taking the image
-of the space until it stops shrinking, one round per step of the longest
-transient, leaves the cycle nodes in one bool mask; only cycle states are
-decoded.  The `sts` labels split the codes at the same 3^9 digit.
+C-order cells of a `(3,) * f` array over the f free vertices.  The kernel
+walks that array in slabs of 3^9 codes, the leading digits fixed: a free
+vertex's move, like its bit rules, reads only itself and a few other
+vertices, so both run over the slab axes of those vertices alone, with the
+leading ones as scalars.  Enumeration marks each slab's successors in an
+image mask, one byte a state, and steps only the codes in the image again,
+so the cycles are found on that compact map; only cycle states are decoded.
+The `sts` labels split the codes at the same 3^9 digit.
 """
 
 from __future__ import annotations
@@ -63,53 +62,93 @@ def _moves(graph, columns, i):
 
 
 def _local_columns(graph, strides, support):
-    """(index, columns) per slice of the local shape of the free vertices in `support`.
+    """(slices, columns) of the free vertices in `support` over a slab, which
+    fixes every free digit but the last 9 and spans those 9 axes.
 
-    The local shape spans their axes alone; one of more than 3^9 cells comes
-    in slices, in code order, its leading local vertices fixed as scalars.
-    `index` picks a slice out of the `(3,) * f` code array; `columns` holds
-    its values, scalars but for the trailing local vertices: int8 copies over
-    the shape, so that the masks need no strided broadcasts.
+    `columns` holds the clamps and int8 copies, over their local shape, of
+    the support on the slab axes, so that the masks need no strided
+    broadcasts.  `slices` yields, in code order, the int8 scalar values of
+    each combination of the support's fixed vertices.
     """
     free = [i for i, _ in strides]
-    local = [a for a, u in enumerate(free) if u in support]
-    lead, rest = local[:-_TAIL_DIGITS], local[-_TAIL_DIGITS:]
+    lead = [u for u in free[:-_TAIL_DIGITS] if u in support]
+    rest = [a for a in range(len(free))[-_TAIL_DIGITS:] if free[a] in support]
     digits = np.arange(-1, 2, dtype=np.int8)
     columns = dict(graph.clamps)
     for a in rest:
         shape = [3 if b in rest else 1 for b in range(rest[0], len(free))]
         along = digits.reshape([3] + [1] * (len(free) - 1 - a))
         columns[free[a]] = np.broadcast_to(along, shape).copy()
-    for picks in itertools.product(range(3), repeat=len(lead)):
-        index = [slice(None)] * len(free)
-        for a, d in zip(lead, picks):
-            index[a], columns[free[a]] = d, np.int8(d - 1)
-        yield tuple(index), columns
+    return (dict(zip(lead, p)) for p in itertools.product(digits, repeat=len(lead))), columns
+
+
+def _add_moves(graph, out, start, group, scalars):
+    """Set `out` to `start` plus each (vertex, stride, columns) move of `group` times its stride."""
+    out[...] = start
+    for i, stride, columns in group:
+        up, down = _moves(graph, {**columns, **scalars}, i)
+        out += (up.view(np.int8) - down.view(np.int8)) * stride
+
+
+def _successor_slabs(graph, strides, succ=None):
+    """Per slab of 3^9 consecutive codes, in code order, the successor codes,
+    written into the slab's row of `succ` or else into one reused buffer.
+
+    A slab adds each move, times its vertex's stride, to the all-ambiguous
+    code by broadcasting.  The moves that read the last leading digit are
+    added anew in each slab, onto a partial sum of the others, which is
+    summed again only when another leading digit changes.
+    """
+    size = 3 ** len(strides)
+    dtype = _code_dtype(size)
+    lead = [i for i, _ in strides[:-_TAIL_DIGITS]]
+    shared, groups = {}, ([], [])
+    for i, stride in strides:
+        support = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
+        _, columns = _local_columns(graph, strides, support)
+        columns = shared.setdefault(frozenset(columns), columns)  # same slab axes, same columns
+        groups[not lead or lead[-1] in support].append((i, dtype(stride), columns))
+    shape, half = (3,) * (len(strides) - len(lead)), (size - 1) // 2  # the all-ambiguous code
+    base = np.empty(shape, dtype=dtype) if groups[False] else half
+    width = 3 ** len(shape)
+    rows = itertools.repeat(np.empty(width, dtype)) if succ is None else succ.reshape(-1, width)
+    for scalars, row in zip(_local_columns(graph, strides, lead)[0], rows):
+        if groups[False] and scalars[lead[-1]] == -1:  # the first slab, or an earlier digit changed
+            _add_moves(graph, base, half, groups[False], scalars)
+        _add_moves(graph, row.reshape(shape), base, groups[True], scalars)
+        yield row
 
 
 def _successor_codes(graph, strides):
-    """The successor code of every code, by the unanimous rule.
+    """The successor code of every code, by the unanimous rule, slab by slab."""
+    size = 3 ** len(strides)
+    succ = np.empty(size, dtype=_code_dtype(size))
+    for _ in _successor_slabs(graph, strides, succ):
+        pass
+    return succ
 
-    The codes are the C-order cells of a `(3,) * f` array, one axis per free
-    vertex, first free vertex first.  A free vertex's move reads only itself
-    and its regulators, so it runs over their local shape and adds its
-    stride up or down into that array, broadcast over the other axes.
+
+def _compact_map(graph, strides):
+    """(live, pos): the codes with a predecessor, ascending, and the index in
+    `live` of each one's successor, a functional map for `_peel`.
+
+    Only the image mask spans the space, one byte a state; the successors
+    of `live` are stepped again from their digits, 3^9 codes a batch.
     """
     size = 3 ** len(strides)
-    # Start every successor at the all-ambiguous code, then move each digit.
-    succ = np.full(size, (size - 1) // 2, dtype=_code_dtype(size))
-    cube = succ.reshape((3,) * len(strides))
-    for i, stride in strides:
-        support = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
-        for index, columns in _local_columns(graph, strides, support):
-            up, down = _moves(graph, columns, i)
-            # In the code dtype: a stride overflows int8.
-            delta = up.astype(cube.dtype)
-            delta -= down
-            delta *= stride
-            out = cube[index]
-            out += delta
-    return succ
+    image = np.zeros(size, dtype=bool)
+    for slab in _successor_slabs(graph, strides):
+        image[slab] = True
+    live = np.flatnonzero(image).astype(_code_dtype(size))
+    del image
+    pos = np.empty_like(live)
+    for lo in range(0, len(live), _BLOCK_STATES):
+        codes = live[lo:lo + _BLOCK_STATES]
+        columns = dict(enumerate(_decode(graph, strides, codes).T))
+        nxt, group = np.empty_like(codes), [(i, live.dtype.type(k), columns) for i, k in strides]
+        _add_moves(graph, nxt, (size - 1) // 2, group, {})
+        pos[lo:lo + len(codes)] = np.searchsorted(live, nxt)
+    return live, pos
 
 
 def _peel(succ):
@@ -131,13 +170,13 @@ def _peel(succ):
 
 
 def _decode(graph, strides, codes):
-    """The TernaryStates of `codes`, in order; a clamped vertex takes no code digit."""
+    """The int8 values of `codes`, a row per code; a clamped vertex takes no code digit."""
     codes = np.asarray(codes, dtype=np.int64)
     values = np.zeros((len(codes), graph.n), dtype=np.int8)
     values[:, list(graph.clamps)] = list(graph.clamps.values())
     for i, stride in strides:
         values[:, i] = codes // stride % 3 - 1
-    return [TernaryState(row) for row in values.tolist()]
+    return values
 
 
 def _evaluate(rule, bits):
@@ -172,7 +211,8 @@ def _first_mismatch(graph, network, strides):
     Vertex i's rules and move read only its support: i, its regulators and
     the vertices of its rules' bits.  Its slices come in code order, every
     other free digit at code digit 0, so its first failing slice holds its
-    least failing code.
+    least failing code.  Only the bits of the slice's scalars change from
+    one slice to the next.
     """
     size = least = 3 ** len(strides)
     dtype = _code_dtype(size)
@@ -181,15 +221,19 @@ def _first_mismatch(graph, network, strides):
                    for rule in rules for t in (*rule.or_terms, *rule.and_terms)}
         if i not in graph.clamps:
             support |= {i, *graph.activation_in[i], *graph.inhibition_in[i]}
-        for _, columns in _local_columns(graph, strides, support):
-            bad = _vertex_mismatches(graph, rules, _bits(network, columns), columns, i)
+        slices, columns = _local_columns(graph, strides, support)
+        bits = _bits(network, columns)
+        for scalars in slices:
+            columns.update(scalars)
+            bits.update(_bits(network, scalars))
+            bad = _vertex_mismatches(graph, rules, bits, columns, i)
             if np.any(bad):
                 codes = sum((columns[u] + 1).astype(dtype) * k for u, k in strides if u in support)
                 least = min(least, int(np.min(np.where(bad, codes, size))))
                 break
     if least == size:
         return size, None
-    return least + 1, _decode(graph, strides, [least])[0]
+    return least + 1, TernaryState(_decode(graph, strides, [least])[0].tolist())
 
 
 def _first_sampled_mismatch(graph, network, samples, seed):

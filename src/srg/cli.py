@@ -310,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "limit", 1) < 1:  # every command with --limit, before it reads a file
+            raise ValueError("--limit must be positive")
         code = args.func(_load_network(args.network), args)
         sys.stdout.flush()
         return code

@@ -5,14 +5,14 @@ has exactly one successor, so the attractors are exactly the cycles.
 `_free_strides` lays out the clamp-consistent space, a code digit per free
 vertex, and refuses it over the state limit or past 3^32 states; only then
 does `enumerate_attractors` or `build_sts` import the numpy code kernel in
-`srg._kernel`.  The kernel computes every state's successor code, each
-vertex's move over the axes of the vertices it reads, and takes the image
-of the space until it stops shrinking, which leaves the cycle nodes;
-walking those in ascending code order starts each attractor at its least
-state and yields a sorted list.  At 3^14 states (a random 14-vertex graph
-of density 0.16) enumeration takes 0.17 s, 0.13 s of it for the successor
-codes, and the whole process peaks near 52 MB on a 2-core Xeon: numpy,
-then 5 bytes a state for the int32 successor codes and the mask.
+`srg._kernel`.  The kernel computes the successor codes in slabs of 3^9
+codes, each vertex's move over the axes of the vertices it reads; the
+enumeration marks them in an image mask, steps the codes in the image
+again, and peels that compact map down to its cycles.  Walking those in
+ascending code order starts each attractor at its least state and yields a
+sorted list.  At 3^14 states (a random 14-vertex graph of density 0.16)
+enumeration takes about 0.1 s, and the whole `attractors --json` process
+peaks near 32 MB on a 2-core Xeon: numpy, then a byte a state for the mask.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .errors import StateSpaceLimitError, StepBudgetError
 # reachable states; this caps that count, not 3^n.
 DEFAULT_STATE_LIMIT = 3 ** 14
 
-# A kernel slice varies the last _TAIL_DIGITS vertices of a local shape, an
-# `sts` label tail the last _TAIL_DIGITS free vertices; the sampled check
-# draws _BLOCK_STATES states a batch.
+# A kernel slab, like an `sts` label tail, spans the last _TAIL_DIGITS free
+# vertices; the sampled check, and enumeration as it steps the image again,
+# take _BLOCK_STATES states a batch.
 _TAIL_DIGITS = 9
 _BLOCK_STATES = 3 ** _TAIL_DIGITS
 
@@ -102,7 +102,7 @@ class TransitionSystem:
 
         st = _checked_state(self.graph, state)
         code = sum((st[i] + 1) * stride for i, stride in self.strides)
-        return _decode(self.graph, self.strides, [self.successor[code]])[0]
+        return TernaryState(_decode(self.graph, self.strides, [self.successor[code]])[0].tolist())
 
     def transitions(self):
         return ((s, self.states[k]) for s, k in zip(self.states, self.successor.tolist()))
@@ -179,17 +179,18 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     Returns a list sorted by each attractor's least state; refuses with
     StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`, and
     with MemoryError past 3^32 states, which no array of codes can hold.
+    Only the image mask spans the space, one byte a state.
     """
     strides = _free_strides(graph, state_limit)
-    from ._kernel import _decode, _peel, _successor_codes
+    from ._kernel import _compact_map, _decode, _peel
 
-    succ = _successor_codes(graph, strides)
-    on_cycle, _ = _peel(succ)
-    codes = on_cycle.tolist()
-    nxt = dict(zip(codes, succ[on_cycle].tolist()))
-    state_of = dict(zip(codes, _decode(graph, strides, on_cycle)))
+    live, pos = _compact_map(graph, strides)
+    on_cycle, _ = _peel(pos)
+    keys = on_cycle.tolist()
+    nxt = dict(zip(keys, pos[on_cycle].tolist()))
+    state_of = dict(zip(keys, map(TernaryState, _decode(graph, strides, live[on_cycle]).tolist())))
     attractors = []
-    for k in codes:
+    for k in keys:
         cycle = []
         while k in nxt:
             cycle.append(state_of[k])

@@ -353,11 +353,16 @@ class TestErrorPaths:
         ("simulate", "fig1b", "(1,-1,1)", "--max-steps", "0"),
         ("attractors", "fig1a", "--limit", "0"),
         ("phenotype", "check", "mapk", "--target", "AKT=1", "--mode", "oracle", "--limit", "-1"),
+        # Refused before the oracle's clamp conflict or a check that ignores --limit.
+        ("phenotype", "check", "mapk", "--target", "RTK=1", "--mode", "oracle", "--limit", "0"),
+        ("phenotype", "check", "mapk", "--target", "AKT=1", "--limit", "0"),
+        ("verify-bn", "fig1a", "--samples", "5", "--limit", "0"),
     ])
     def test_value_error_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("srg: ") and "must be positive" in err
+        assert ("--limit" in err) == ("--limit" in argv)
 
     @pytest.mark.parametrize("argv", [
         ("step", "fig1a", "(-1,2,1)"),

@@ -205,8 +205,10 @@ def kernel_corpus():
 
 
 def edge_case_graphs():
-    """Graphs with no free vertex, one vertex, only clamped regulators, or
-    more vertices than numpy allows axes."""
+    """Graphs with no free vertex, one vertex, only clamped regulators, more
+    vertices than numpy allows axes, or 10 free vertices: three slabs of
+    3^9 codes, with clamps, a vertex that reads all ten, a long transient,
+    or period-2 cycles."""
     graphs = [
         RegulatoryGraph(["A", "B"], [("A", "B")], [("B", "A")], {"A": 1, "B": -1}),
         RegulatoryGraph(["X"], [("X", "X")]),
@@ -221,6 +223,8 @@ def edge_case_graphs():
                 {"A": a, "B": b},
             ))
     graphs.append(many_clamped_chain())
+    clamped = random_graph(random.Random(21), n=12, density=0.2)
+    graphs += [clamped.with_clamps({"v0": -1, "v11": 1}), hub(10), chain(10), oscillators(5)]
     return graphs
 
 
@@ -239,6 +243,17 @@ def hub(n):
         names,
         links + [(u, middle) for u in names[::2]],
         [(u, middle) for u in names[1::2]],
+    )
+
+
+def oscillators(k):
+    """k copies of OSCILLATOR, each pair also activating the next."""
+    names = [f"v{i}" for i in range(2 * k)]
+    pairs = list(zip(names[::2], names[1::2]))
+    links = [(b, c) for (_, b), (c, _) in zip(pairs, pairs[1:])]
+    return RegulatoryGraph(
+        names, [e for a, b in pairs for e in ((a, b), (b, a))] + links,
+        [(v, v) for v in names],
     )
 
 
@@ -281,6 +296,11 @@ class TestKernel:
         for graph in kernel_corpus() + edge_case_graphs():
             assert enumerate_attractors(graph) == brute_force_attractors(graph)
 
+    def test_slab_graphs_reach_past_one_slab(self):
+        slab_graphs = edge_case_graphs()[-4:]
+        assert [len(_free_strides(g, 3 ** 10)) for g in slab_graphs] == [10] * 4
+        assert any(a.period == 2 for a in enumerate_attractors(slab_graphs[-1]))
+
     def test_fully_clamped_graph_has_one_state(self):
         graph = edge_case_graphs()[0]
         assert len(build_sts(graph)) == 1
@@ -306,6 +326,18 @@ class TestKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * len(succ)
+
+    def test_enumeration_memory_is_under_two_bytes_a_state(self):
+        """Enumerating 3^12 states holds one byte a state for the image mask
+        and arrays over the image, not a successor code for every state."""
+        graph = random_graph(random.Random(16), n=12, density=0.16)
+        tracemalloc.start()
+        try:
+            enumerate_attractors(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 3 ** 12
 
     def test_successor_memory_is_bounded_with_wide_vertices(self):
         """At 3^12 the successor codes take at most 5 bytes a state, 4 of
