@@ -44,7 +44,6 @@ from .dynamics import (
     TransitionSystem,
     build_sts,
     enumerate_attractors,
-    enumerate_states,
     is_attractor,
     is_trap_set,
     simulate,

@@ -12,10 +12,11 @@ C-order cells of a `(3,) * f` array over the f free vertices.  The kernel
 walks that array in slabs of 3^9 codes, the leading digits fixed: a free
 vertex's move, like its bit rules, reads only itself and a few other
 vertices, so both run over the slab axes of those vertices alone, with the
-leading ones as scalars.  Enumeration marks each slab's successors in an
-image mask, one byte a state, and steps only the codes in the image again,
-so the cycles are found on that compact map; only cycle states are decoded.
-The `sts` labels split the codes at the same 3^9 digit.
+leading ones as scalars.  These slabs are the only successor codes: `sts`
+renders each one as it is stepped, its labels split at the same 3^9 digit,
+and enumeration marks them in an image mask, one byte a state, then steps
+only the codes in the image again and finds the cycles on that compact
+map; only cycle states are decoded.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def _add_moves(graph, out, start, group, scalars):
         out += (up.view(np.int8) - down.view(np.int8)) * stride
 
 
-def _successor_slabs(graph, strides, succ=None):
+def _successor_slabs(graph, strides):
     """Per slab of 3^9 consecutive codes, in code order, the successor codes,
-    written into the slab's row of `succ` or else into one reused buffer.
+    written into one buffer that every slab reuses.
 
     A slab adds each move, times its vertex's stride, to the all-ambiguous
     code by broadcasting.  The moves that read the last leading digit are
@@ -110,22 +111,12 @@ def _successor_slabs(graph, strides, succ=None):
         groups[not lead or lead[-1] in support].append((i, dtype(stride), columns))
     shape, half = (3,) * (len(strides) - len(lead)), (size - 1) // 2  # the all-ambiguous code
     base = np.empty(shape, dtype=dtype) if groups[False] else half
-    width = 3 ** len(shape)
-    rows = itertools.repeat(np.empty(width, dtype)) if succ is None else succ.reshape(-1, width)
-    for scalars, row in zip(_local_columns(graph, strides, lead)[0], rows):
+    row = np.empty(3 ** len(shape), dtype)
+    for scalars in _local_columns(graph, strides, lead)[0]:
         if groups[False] and scalars[lead[-1]] == -1:  # the first slab, or an earlier digit changed
             _add_moves(graph, base, half, groups[False], scalars)
         _add_moves(graph, row.reshape(shape), base, groups[True], scalars)
         yield row
-
-
-def _successor_codes(graph, strides):
-    """The successor code of every code, by the unanimous rule, slab by slab."""
-    size = 3 ** len(strides)
-    succ = np.empty(size, dtype=_code_dtype(size))
-    for _ in _successor_slabs(graph, strides, succ):
-        pass
-    return succ
 
 
 def _compact_map(graph, strides):

@@ -82,11 +82,9 @@ def _cmd_step(graph, args):
     state = parse_state(args.state, graph)
     if args.steps < 1:
         raise ParseError("-n must be positive")
-    states = []
-    current = state
-    for _ in range(args.steps):
-        current = step(graph, current)
-        states.append(current)
+    # The states after the start, stepped one at a time as they are printed.
+    steps = itertools.accumulate(range(args.steps), lambda s, _: step(graph, s), initial=state)
+    states = itertools.islice(steps, 1, None)
     if args.json:
         _emit(analysis_report("step", graph, {
             "start": state_json(state),

@@ -4,9 +4,9 @@ The synchronous rule makes the state space a functional graph: every state
 has exactly one successor, so the attractors are exactly the cycles.
 `_free_strides` lays out the clamp-consistent space, a code digit per free
 vertex, and refuses it over the state limit or past 3^32 states; only then
-does `enumerate_attractors` or `build_sts` import the numpy code kernel in
-`srg._kernel`.  The kernel computes the successor codes in slabs of 3^9
-codes, each vertex's move over the axes of the vertices it reads; the
+is the numpy code kernel in `srg._kernel` imported.  The kernel steps the
+codes in slabs of 3^9, each vertex's move over the axes of the vertices it
+reads.  A transition system hands out each slab as it is stepped; the
 enumeration marks them in an image mask, steps the codes in the image
 again, and peels that compact map down to its cycles.  Walking those in
 ascending code order starts each attractor at its least state and yields a
@@ -17,8 +17,6 @@ peaks near 32 MB on a 2-core Xeon: numpy, then a byte a state for the mask.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -82,33 +80,26 @@ class Attractor:
 
 
 class TransitionSystem:
-    """The successor map of every clamp-consistent state, held as codes.
+    """The successor map of every clamp-consistent state, stepped as it is read.
 
-    Code k is the k-th state in canonical order and `successor[k]` is the
-    code of its successor.  States are decoded only when asked for.
+    Code k is the k-th state in canonical order.  `build_sts` lays the space
+    out and refuses it; the successor codes are computed only while
+    `successor_blocks()` is iterated, so no array of them spans the space.
     """
 
-    def __init__(self, graph: RegulatoryGraph, strides, successor):
+    def __init__(self, graph: RegulatoryGraph, strides):
         self.graph = graph
         self.strides = strides
-        self.successor = successor
 
-    @functools.cached_property
-    def states(self) -> tuple:
-        return tuple(_states(self.graph))
+    def successor_blocks(self):
+        """The successor codes of 3^9 consecutive codes at a time, in code
+        order, in one reused buffer: read or copy each before the next."""
+        from ._kernel import _successor_slabs
 
-    def successor_of(self, state) -> TernaryState:
-        from ._kernel import _decode
-
-        st = _checked_state(self.graph, state)
-        code = sum((st[i] + 1) * stride for i, stride in self.strides)
-        return TernaryState(_decode(self.graph, self.strides, [self.successor[code]])[0].tolist())
-
-    def transitions(self):
-        return ((s, self.states[k]) for s, k in zip(self.states, self.successor.tolist()))
+        return _successor_slabs(self.graph, self.strides)
 
     def __len__(self) -> int:
-        return len(self.successor)
+        return 3 ** len(self.strides)
 
 
 def simulate(graph: RegulatoryGraph, start, max_steps=None) -> Trajectory:
@@ -162,17 +153,6 @@ def _checked_state(graph, state) -> TernaryState:
     return st
 
 
-def _states(graph):
-    values = [(graph.clamps[i],) if i in graph.clamps else (-1, 0, 1) for i in range(graph.n)]
-    return map(TernaryState, itertools.product(*values))
-
-
-def enumerate_states(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
-    """Every clamp-consistent state, in canonical order."""
-    _free_strides(graph, state_limit)  # refuses an oversized space
-    return list(_states(graph))
-
-
 def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
     """Every attractor of the clamp-consistent state space.
 
@@ -201,11 +181,9 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
 
 
 def build_sts(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT) -> TransitionSystem:
-    """The full transition system, as successor codes over every state."""
-    strides = _free_strides(graph, state_limit)
-    from ._kernel import _successor_codes
-
-    return TransitionSystem(graph, strides, _successor_codes(graph, strides))
+    """The full transition system, its space laid out and refused here and
+    its successor codes stepped block by block as they are read."""
+    return TransitionSystem(graph, _free_strides(graph, state_limit))
 
 
 def _normalized_state_set(graph, states):

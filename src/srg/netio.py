@@ -183,9 +183,10 @@ def _graph_dot(graph):
 def transition_lines(sts: TransitionSystem, dot: bool):
     """One "state -> successor" line per state in canonical order, or DOT.
 
-    Yielded in blocks of 3^9 states, so the text is never in memory at
-    once.  The tails cover the vertices that vary within a block, the heads
-    the rest: code c is heads[c // width] + tails[c % width].
+    Yielded in blocks of 3^9 states, one per successor block of `sts`, so
+    neither the text nor the successor codes are ever in memory at once.
+    The tails cover the vertices that vary within a block, the heads the
+    rest: code c is heads[c // width] + tails[c % width].
     """
     quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
     clamps = sts.graph.clamps
@@ -199,11 +200,10 @@ def transition_lines(sts: TransitionSystem, dot: bool):
         yield "digraph state_transitions {\n"
         for head in heads:
             yield "".join([f"  {head}{tail};\n" for tail in tails])
-    for k, head in enumerate(heads):
-        pairs = zip(tails, sts.successor[k * width:(k + 1) * width].tolist())
+    for head, block in zip(heads, sts.successor_blocks()):
         yield "".join([
             f"{indent}{head}{tail} -> {heads[b // width]}{tails[b % width]}{end}"
-            for tail, b in pairs
+            for tail, b in zip(tails, block.tolist())
         ])
     if dot:
         yield "}\n"

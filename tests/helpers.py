@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 
+import numpy as np
+
 import srg
 from srg import (
     EquivalenceReport,
@@ -13,6 +15,7 @@ from srg import (
     RegulatoryGraph,
     TernaryState,
     bn_step,
+    build_sts,
     encode_state,
     simulate,
     step,
@@ -29,6 +32,12 @@ def clamp_consistent_states(graph):
         for i, v in zip(free, combo):
             values[i] = v
         yield TernaryState(values)
+
+
+def successor_codes(graph):
+    """The kernel's successor code of every state, in code order: copies of
+    the `build_sts` blocks, since each block reuses one buffer."""
+    return np.concatenate([block.copy() for block in build_sts(graph).successor_blocks()])
 
 
 def many_clamped_chain():

@@ -57,6 +57,18 @@ class TestStepAndSimulate:
         assert report["command"] == "step"
         assert report["result"]["states"] == [[0, 1, 1]]
 
+    def test_step_text_is_streamed(self):
+        # Each state is printed as it is stepped, not held for all -n steps.
+        argv = ["step", "mapk", "(-1,-1,-1,-1,1,1,-1)", "-n", "20000"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_simulate_text(self, capsys):
         code, out, _ = run(capsys, "simulate", "fig1b", "(1,-1,1)")
         assert code == 0

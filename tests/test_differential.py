@@ -24,7 +24,6 @@ from srg import (
     apply_clamps,
     attractors_with_phenotype,
     bn_step,
-    build_sts,
     check_simulation_equivalence,
     decide_phenotype,
     decode_state,
@@ -42,6 +41,7 @@ from helpers import (
     random_graph,
     sampled_states,
     scalar_equivalence,
+    successor_codes,
 )
 from test_core import rule_value
 
@@ -71,13 +71,14 @@ def states(graph):
 @given(st.data())
 def test_successor_engines_agree(data):
     graph = data.draw(graphs(clamped=True))
-    sts = build_sts(graph)
+    space = list(clamp_consistent_states(graph))
+    succ = successor_codes(graph)
     network = encode_network(graph)
     for state in data.draw(st.lists(states(graph), min_size=1, max_size=4)):
         expected = step(graph, state)
         rebuilt = apply_clamps(graph, [rule_value(graph, state, v) for v in range(graph.n)])
         assert rebuilt == expected
-        assert sts.successor_of(state) == expected
+        assert space[succ[space.index(state)]] == expected
         assert decode_state(bn_step(network, encode_state(state))) == expected
 
 
@@ -91,7 +92,7 @@ def clamped_random_graph(free, clamps, density, seed):
 
 def assert_successors_match_step(graph):
     states = list(clamp_consistent_states(graph))
-    succ = build_sts(graph).successor
+    succ = successor_codes(graph)
     assert [states[k] for k in succ.tolist()] == [step(graph, s) for s in states]
 
 
@@ -211,7 +212,7 @@ def test_cross_check_decodes_a_counterexample_among_many_clamps():
 def test_cycle_codes_match_attractors_and_transients(graph):
     states = list(clamp_consistent_states(graph))
     code_of = {s: k for k, s in enumerate(states)}
-    codes, rounds = _peel(build_sts(graph).successor)
+    codes, rounds = _peel(successor_codes(graph))
     on_cycles = sorted(code_of[s] for a in enumerate_attractors(graph) for s in a.states)
     assert codes.tolist() == on_cycles
     assert rounds == max(len(simulate(graph, s).transient) for s in states)

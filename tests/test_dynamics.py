@@ -14,21 +14,23 @@ from srg import (
     TernaryState,
     build_sts,
     enumerate_attractors,
-    enumerate_states,
     is_attractor,
     is_trap_set,
     simulate,
     step,
     update_vertex,
 )
-from srg._kernel import _code_dtype, _peel, _successor_codes
+from srg._kernel import _code_dtype, _peel
 from srg.dynamics import _BLOCK_STATES, _free_strides
+from srg.netio import parse_state, transition_lines
 
 from helpers import (
     brute_force_attractors,
     clamp_consistent_states,
     many_clamped_chain,
     random_graph,
+    reference_sts_text,
+    successor_codes,
 )
 
 # Frozen from the brute-force oracle (simulate from each of the 27 states).
@@ -276,7 +278,7 @@ class TestKernel:
     def test_successor_codes_match_scalar_step(self):
         for graph in kernel_corpus() + edge_case_graphs():
             states = list(clamp_consistent_states(graph))
-            succ = build_sts(graph).successor
+            succ = successor_codes(graph)
             assert len(succ) == len(states)
             for state, k in zip(states, succ.tolist()):
                 assert states[k] == step(graph, state)
@@ -287,7 +289,7 @@ class TestKernel:
         graph = random_graph(random.Random(5), n=12, density=0.3)
         graph = graph.with_clamps({"v1": 1, "v8": -1})
         states = list(clamp_consistent_states(graph))
-        succ = build_sts(graph).successor
+        succ = successor_codes(graph)
         assert len(succ) == len(states) == 3 * _BLOCK_STATES
         for state, k in zip(states, succ.tolist()):
             assert states[k] == step(graph, state)
@@ -310,7 +312,7 @@ class TestKernel:
         # Feed-forward, so every attractor is a fixed point; the longest
         # transient carries v0 = 1 down all 13 edges.
         graph = chain(14)
-        _, rounds = _peel(build_sts(graph).successor)
+        _, rounds = _peel(successor_codes(graph))
         assert rounds == 13
         assert enumerate_attractors(graph) == chain_fixed_points(graph)
 
@@ -318,7 +320,7 @@ class TestKernel:
         """Beside the successors, finding the cycles of 3^12 states holds
         under 4 bytes per state: no in-degree counts over the space."""
         for graph in (random_graph(random.Random(16), n=12, density=0.16), chain(12)):
-            succ = build_sts(graph).successor
+            succ = successor_codes(graph)
             tracemalloc.start()
             try:
                 _peel(succ)
@@ -340,23 +342,22 @@ class TestKernel:
         assert peak < 2 * 3 ** 12
 
     def test_successor_memory_is_bounded_with_wide_vertices(self):
-        """At 3^12 the successor codes take at most 5 bytes a state, 4 of
-        them the codes: a move that reads more than nine free vertices runs
-        in slices, not over the whole space."""
-        graphs = (
-            random_graph(random.Random(12), n=12, density=1.0),
-            hub(12),
-            hub(14).with_clamps({"v3": 1, "v10": -1}),
-        )
+        """Streaming the successor blocks holds under 1 MiB at 3^12 and at
+        3^14 alike: a block's buffer and the columns of the moves, none of
+        it growing with the state count, even where a move reads more than
+        nine free vertices and so runs in slices."""
+        graphs = [random_graph(random.Random(12), n=n, density=1.0) for n in (12, 14)]
+        graphs += [hub(12), hub(14), hub(14).with_clamps({"v3": 1, "v10": -1})]
         for graph in graphs:
+            sts = build_sts(graph)
             tracemalloc.start()
             try:
-                succ = _successor_codes(graph, _free_strides(graph, 3 ** 12))
+                blocks = sum(1 for _ in sts.successor_blocks())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(succ) == 3 ** 12
-            assert peak <= 5 * len(succ)
+            assert blocks * _BLOCK_STATES == len(sts) >= 3 ** 12
+            assert peak < 2 ** 20
 
     def test_chain_oracle_agrees_with_brute_force(self):
         graph = chain(6)
@@ -379,45 +380,49 @@ class TestKernel:
         assert _code_dtype(3 ** 20) is np.int64
 
 
+def sts_states(graph):
+    """The states that `sts` labels, in the order it lists them."""
+    lines = "".join(transition_lines(build_sts(graph), dot=False)).splitlines()
+    return [parse_state(line.split(" -> ")[0], graph) for line in lines]
+
+
 class TestStateEnumeration:
     def test_canonical_order(self, fig1a):
-        states = enumerate_states(fig1a)
+        states = sts_states(fig1a)
         assert len(states) == 27
         assert states == sorted(states)
         assert states[0] == (-1, -1, -1) and states[-1] == (1, 1, 1)
 
     def test_clamped_vertices_are_pinned(self, mapk):
-        states = enumerate_states(mapk)
-        assert len(states) == 729
+        states = sts_states(mapk)
+        assert len(states) == len(build_sts(mapk)) == 729
         assert all(s[0] == -1 for s in states)
 
     def test_matches_reference_walk(self, fig1a, fig1b, mapk):
         for graph in [fig1a, fig1b, mapk] + kernel_corpus() + edge_case_graphs():
             states = list(clamp_consistent_states(graph))
-            assert enumerate_states(graph) == states
-            sts = build_sts(graph)
-            assert sts.states == tuple(states)
-            for state in states:
-                assert sts.successor_of(state) == step(graph, state)
+            assert sts_states(graph) == states
+            assert [states[k] for k in successor_codes(graph).tolist()] == [
+                step(graph, state) for state in states
+            ]
 
 
 class TestTransitionSystem:
     def test_contains_quoted_transitions(self, fig1a, fig1b):
-        sts = build_sts(fig1a)
-        assert sts.successor_of((-1, 1, 1)) == (0, 1, 1)
-        sts_b = build_sts(fig1b)
-        assert sts_b.successor_of((1, -1, -1)) == (1, 1, -1)
+        text = "".join(transition_lines(build_sts(fig1a), dot=False))
+        assert "(-1,1,1) -> (0,1,1)\n" in text
+        text_b = "".join(transition_lines(build_sts(fig1b), dot=False))
+        assert "(1,-1,-1) -> (1,1,-1)\n" in text_b
 
     def test_single_clamped_vertex(self):
         graph = RegulatoryGraph(["X"], clamps={"X": 1})
         sts = build_sts(graph)
         assert len(sts) == 1
-        assert list(sts.transitions()) == [((1,), (1,))]
+        assert [block.tolist() for block in sts.successor_blocks()] == [[0]]
+        assert "".join(transition_lines(sts, dot=False)) == "(1) -> (1)\n"
 
     def test_successor_map_matches_scalar_step(self, fig1b):
-        sts = build_sts(fig1b)
-        for s, t in sts.transitions():
-            assert step(fig1b, s) == t
+        assert "".join(transition_lines(build_sts(fig1b), dot=False)) == reference_sts_text(fig1b)
 
     def test_limit_refusal(self, fig1a):
         with pytest.raises(StateSpaceLimitError):
@@ -432,7 +437,7 @@ class TestTrapSets:
         assert not is_trap_set(fig1b, [(-1, 1, 1)])
 
     def test_full_space_is_trap(self, fig1a):
-        assert is_trap_set(fig1a, enumerate_states(fig1a))
+        assert is_trap_set(fig1a, clamp_consistent_states(fig1a))
 
     def test_attractor_checks(self, fig1a, fig1b):
         assert is_attractor(fig1a, [(0, 1, 1)])

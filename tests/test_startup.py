@@ -1,8 +1,10 @@
 """Start-up: numpy loads only in the calls that walk the state space.
 
 `srg._kernel` is the one module that imports numpy.  `enumerate_attractors`,
-`build_sts` and `check_simulation_equivalence` import it on first use, after
-`dynamics._free_strides` has decided the space, so a step, a trajectory, a
+`check_simulation_equivalence` and the successor blocks of a transition
+system import it on first use, after `dynamics._free_strides` has decided
+the space (`build_sts` alone lays the space out and imports nothing), so
+`sts` loads numpy only as it renders; a step, a trajectory, a
 phenotype decision, a witness, the graph and its encoding start without
 numpy, and so does a space that `_free_strides` refuses, over `--limit` or
 past 3^32 states; `test_cli.py` checks the refusals' output.  Each check
@@ -64,3 +66,15 @@ def test_space_past_any_array_is_refused_before_numpy_loads(tmp_path, command):
 def test_enumerating_calls_load_numpy(argv):
     code, _, _, numpy_loaded = run_srg_fresh(*argv)
     assert (code, numpy_loaded) == (0, True)
+
+
+def test_transition_system_loads_numpy_only_when_its_blocks_are_read():
+    proc = run_python("-c", "\n".join([
+        "import sys",
+        "from srg import build_sts, load_example",
+        "sts = build_sts(load_example('fig1b'))",
+        "print(len(sts), 'numpy' in sys.modules)",
+        "codes = [b.tolist() for b in sts.successor_blocks()]",
+        "print(len(codes[0]), 'numpy' in sys.modules)",
+    ]))
+    assert (proc.returncode, proc.stdout) == (0, "27 False\n27 True\n"), proc.stderr
