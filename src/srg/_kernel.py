@@ -12,11 +12,11 @@ C-order cells of a `(3,) * f` array over the f free vertices.  The kernel
 walks that array in slabs of 3^9 codes, the leading digits fixed: a free
 vertex's move, like its bit rules, reads only itself and a few other
 vertices, so both run over the slab axes of those vertices alone, with the
-leading ones as scalars.  These slabs are the only successor codes: `sts`
-renders each one as it is stepped, its labels split at the same 3^9 digit,
-and enumeration marks them in an image mask, one byte a state, then steps
-only the codes in the image again and finds the cycles on that compact
-map; only cycle states are decoded.
+leading ones as scalars; a move is summed again only in the slabs that
+change a leading digit up to the last one it reads.  `sts` renders each
+slab as it is stepped, its labels split at the same 3^9 digit; enumeration
+marks the slabs in an image mask, one byte a state, steps only the image
+again, finds the cycles on that compact map and decodes only their states.
 """
 
 from __future__ import annotations
@@ -92,31 +92,31 @@ def _add_moves(graph, out, start, group, scalars):
 
 
 def _successor_slabs(graph, strides):
-    """Per slab of 3^9 consecutive codes, in code order, the successor codes,
-    written into one buffer that every slab reuses.
+    """Per slab of 3^9 consecutive codes, in code order, the successor codes.
 
-    A slab adds each move, times its vertex's stride, to the all-ambiguous
-    code by broadcasting.  The moves that read the last leading digit are
-    added anew in each slab, onto a partial sum of the others, which is
-    summed again only when another leading digit changes.
+    A move, times its vertex's stride, is summed by broadcasting in layer
+    k, k the last leading digit it reads (0 if none), onto the sum of the
+    layers before it from the all-ambiguous code.  A slab sums again only
+    the layers from that of the digit that changed, in buffers that every
+    slab reuses; an empty layer takes none.
     """
     size = 3 ** len(strides)
-    dtype = _code_dtype(size)
-    lead = [i for i, _ in strides[:-_TAIL_DIGITS]]
-    shared, groups = {}, ([], [])
+    dtype, lead = _code_dtype(size), [i for i, _ in strides[:-_TAIL_DIGITS]]
+    shared, layers = {}, {}
     for i, stride in strides:
         support = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
         _, columns = _local_columns(graph, strides, support)
         columns = shared.setdefault(frozenset(columns), columns)  # same slab axes, same columns
-        groups[not lead or lead[-1] in support].append((i, dtype(stride), columns))
-    shape, half = (3,) * (len(strides) - len(lead)), (size - 1) // 2  # the all-ambiguous code
-    base = np.empty(shape, dtype=dtype) if groups[False] else half
-    row = np.empty(3 ** len(shape), dtype)
+        last = max((k for k, u in enumerate(lead) if u in support), default=0)
+        layers.setdefault(last, []).append((i, dtype(stride), columns))
+    layers, shape = sorted(layers.items()), (3,) * (len(strides) - len(lead))
+    sums = [np.asarray((size - 1) // 2, dtype)] + [np.empty(shape, dtype) for _ in layers]
     for scalars in _local_columns(graph, strides, lead)[0]:
-        if groups[False] and scalars[lead[-1]] == -1:  # the first slab, or an earlier digit changed
-            _add_moves(graph, base, half, groups[False], scalars)
-        _add_moves(graph, row.reshape(shape), base, groups[True], scalars)
-        yield row
+        changed = max((k for k, u in enumerate(lead) if scalars[u] != -1), default=0)
+        for j, (k, group) in enumerate(layers):
+            if k >= changed:
+                _add_moves(graph, sums[j + 1], sums[j], group, scalars)
+        yield sums[-1].reshape(-1)
 
 
 def _compact_map(graph, strides):

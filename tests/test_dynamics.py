@@ -21,7 +21,7 @@ from srg import (
     update_vertex,
 )
 from srg._kernel import _code_dtype, _peel
-from srg.dynamics import _BLOCK_STATES, _free_strides
+from srg.dynamics import _BLOCK_STATES, _TAIL_DIGITS, _free_strides
 from srg.netio import parse_state, transition_lines
 
 from helpers import (
@@ -294,6 +294,46 @@ class TestKernel:
         for state, k in zip(states, succ.tolist()):
             assert states[k] == step(graph, state)
 
+    def test_slab_layers_match_scalar_step(self):
+        """12 free vertices, so three leading digits (v0, v2, v3; v1 is
+        clamped) and three layers of moves.  Layer 0 holds moves that read
+        no leading digit (v4, v5) or only v0 (v0, v6); v7 reads v0 and v2,
+        v8 reads v0 and v3, v9 reads v2 and v3, so a move summed with the
+        first digit it reads, or a layer not summed again when its own
+        digit changes, gives wrong successors."""
+        names = [f"v{i}" for i in range(13)]
+        activation = [("v1", "v0"), ("v0", "v2"), ("v5", "v3"), ("v1", "v4"), ("v4", "v5"),
+                      ("v0", "v6"), ("v0", "v7"), ("v3", "v8"), ("v2", "v9"), ("v3", "v9"),
+                      ("v9", "v10"), ("v10", "v10"), ("v8", "v11"), ("v11", "v12"),
+                      ("v6", "v12")]
+        inhibition = [("v12", "v0"), ("v3", "v3"), ("v5", "v4"), ("v2", "v7"), ("v0", "v8"),
+                      ("v7", "v11")]
+        graph = RegulatoryGraph(names, activation, inhibition, {"v1": 1})
+        strides = _free_strides(graph, 3 ** 12)
+        lead = [i for i, _ in strides[:-_TAIL_DIGITS]]
+        assert lead == [0, 2, 3]
+        reads = [{i, *graph.activation_in[i], *graph.inhibition_in[i]} & set(lead)
+                 for i, _ in strides]
+        assert {max((lead.index(u) for u in r), default=0) for r in reads} == {0, 1, 2}
+        assert set() in reads and {0} in reads
+
+        def state_of(code):
+            values = dict(graph.clamps)
+            for i, stride in strides:
+                values[i] = code // stride % 3 - 1
+            return TernaryState([values[i] for i in range(graph.n)])
+
+        def code_of(state):
+            return sum((state[i] + 1) * stride for i, stride in strides)
+
+        rng = random.Random(19)
+        for s, slab in enumerate(build_sts(graph).successor_blocks()):
+            assert len(slab) == _BLOCK_STATES
+            for k in [0, _BLOCK_STATES - 1] + rng.sample(range(_BLOCK_STATES), 30):
+                code = s * _BLOCK_STATES + k
+                assert int(slab[k]) == code_of(step(graph, state_of(code))), code
+        assert s == 3 ** len(lead) - 1
+
     def test_attractors_match_oracle(self):
         for graph in kernel_corpus() + edge_case_graphs():
             assert enumerate_attractors(graph) == brute_force_attractors(graph)
@@ -342,14 +382,14 @@ class TestKernel:
         assert peak < 2 * 3 ** 12
 
     def test_successor_memory_is_bounded_with_wide_vertices(self):
-        """Streaming the successor blocks holds under 1 MiB at 3^12 and at
-        3^14 alike: a block's buffer and the columns of the moves, none of
-        it growing with the state count, even where a move reads more than
-        nine free vertices and so runs in slices."""
+        """Streaming the successor blocks holds under 1 MiB from 3^12 to
+        3^16: the columns of the moves and one slab buffer per leading
+        digit, even where a move reads more than nine free vertices and so
+        runs in slices."""
         graphs = [random_graph(random.Random(12), n=n, density=1.0) for n in (12, 14)]
-        graphs += [hub(12), hub(14), hub(14).with_clamps({"v3": 1, "v10": -1})]
+        graphs += [hub(12), hub(14), hub(14).with_clamps({"v3": 1, "v10": -1}), hub(16)]
         for graph in graphs:
-            sts = build_sts(graph)
+            sts = build_sts(graph, state_limit=3 ** 16)
             tracemalloc.start()
             try:
                 blocks = sum(1 for _ in sts.successor_blocks())
