@@ -14,9 +14,8 @@ import json
 import os
 import sys
 
-from .boolenc import check_simulation_equivalence, encode_network, to_boolnet
-from .core import step
-from .dynamics import DEFAULT_STATE_LIMIT, build_sts, enumerate_attractors, simulate
+# Each command imports the analysis module it runs, so a call loads only those.
+from .core import DEFAULT_STATE_LIMIT, step
 from .errors import ParseError, SRGError, StateSpaceLimitError
 from .netio import (
     EXAMPLE_NETWORKS,
@@ -36,7 +35,6 @@ from .netio import (
     transition_lines,
     witness_json,
 )
-from .phenotype import attractors_with_phenotype, decide_phenotype, phenotype_witness
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -97,6 +95,8 @@ def _cmd_step(graph, args):
 
 
 def _cmd_simulate(graph, args):
+    from .dynamics import simulate
+
     state = parse_state(args.state, graph)
     trajectory = simulate(graph, state, max_steps=args.max_steps)
     if args.json:
@@ -108,6 +108,8 @@ def _cmd_simulate(graph, args):
 
 
 def _cmd_attractors(graph, args):
+    from .dynamics import enumerate_attractors
+
     attractors = enumerate_attractors(graph, state_limit=args.limit)
     if args.json:
         _emit(analysis_report("attractors", graph, {
@@ -120,6 +122,8 @@ def _cmd_attractors(graph, args):
 
 
 def _cmd_sts(graph, args):
+    from .dynamics import build_sts
+
     system = build_sts(graph, state_limit=args.limit)
     sys.stdout.writelines(transition_lines(system, args.dot))
     return EXIT_OK
@@ -136,6 +140,8 @@ def _cmd_graph(graph, args):
 
 
 def _cmd_phenotype_check(graph, args):
+    from .phenotype import attractors_with_phenotype, decide_phenotype
+
     phenotype = parse_phenotype(args.target)
     if args.mode == "oracle":
         matches = attractors_with_phenotype(graph, phenotype, state_limit=args.limit)
@@ -164,6 +170,8 @@ def _cmd_phenotype_check(graph, args):
 
 
 def _cmd_phenotype_witness(graph, args):
+    from .phenotype import phenotype_witness
+
     phenotype = parse_phenotype(args.target)
     witness = phenotype_witness(graph, phenotype, completion=_COMPLETIONS[args.completion])
     if args.json:
@@ -181,6 +189,8 @@ def _cmd_phenotype_witness(graph, args):
 
 
 def _cmd_encode_bn(graph, args):
+    from .boolenc import encode_network, to_boolnet
+
     text = to_boolnet(encode_network(graph))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -191,6 +201,8 @@ def _cmd_encode_bn(graph, args):
 
 
 def _cmd_verify_bn(graph, args):
+    from .boolenc import check_simulation_equivalence
+
     report = check_simulation_equivalence(
         graph, samples=args.samples, state_limit=args.limit, seed=args.seed
     )

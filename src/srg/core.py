@@ -23,6 +23,10 @@ TERNARY_VALUES = (INACTIVE, AMBIGUOUS, ACTIVE)
 ACTIVATION = "+"
 INHIBITION = "-"
 
+# Clamped vertices are pinned, so a graph with c clamps has 3^(n - c)
+# reachable states; this caps that count, not 3^n.
+DEFAULT_STATE_LIMIT = 3 ** 14
+
 # Vertex names are identifiers, so every text format can carry them unquoted.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 

@@ -20,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import RegulatoryGraph, TernaryState, _state_values, apply_clamps, step
+from .core import (
+    DEFAULT_STATE_LIMIT, RegulatoryGraph, TernaryState, _state_values, apply_clamps, step,
+)
 from .errors import StateSpaceLimitError, StepBudgetError
-
-# Clamped vertices are pinned, so a graph with c clamps has 3^(n - c)
-# reachable states; this caps that count, not 3^n.
-DEFAULT_STATE_LIMIT = 3 ** 14
 
 # A kernel slab, like an `sts` label tail, spans the last _TAIL_DIGITS free
 # vertices; the sampled check, and enumeration as it steps the image again,

@@ -18,13 +18,15 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from importlib import resources
+from typing import TYPE_CHECKING
 
-from .boolenc import EquivalenceReport
 from .core import _NAME, RegulatoryGraph, TernaryState, _state_values
-from .dynamics import _TAIL_DIGITS, Attractor, Trajectory, TransitionSystem
 from .errors import ParseError, UnknownVertexError
-from .phenotype import Phenotype, PhenotypeDecision, Witness
+
+if TYPE_CHECKING:  # the analysis modules load only where a function needs them
+    from .boolenc import EquivalenceReport
+    from .dynamics import Attractor, Trajectory, TransitionSystem
+    from .phenotype import Phenotype, PhenotypeDecision, Witness
 
 _NODE_RE = re.compile(rf"^node\s+({_NAME})$")
 _EDGE_RE = re.compile(rf"^({_NAME})\s*(->|-\|)\s*({_NAME})$")
@@ -148,6 +150,8 @@ def format_state(state) -> str:
 
 def parse_phenotype(text: str) -> Phenotype:
     """Parse "FOXO3=-1,AKT=1"; phenotype values are -1 or 1, never 0."""
+    from .phenotype import Phenotype
+
     return _checked(Phenotype, _assignments(text, "phenotype"))
 
 
@@ -160,6 +164,8 @@ def export_dot(subject) -> str:
     """
     if isinstance(subject, RegulatoryGraph):
         return _graph_dot(subject)
+    from .dynamics import TransitionSystem
+
     if isinstance(subject, TransitionSystem):
         return "".join(transition_lines(subject, dot=True))
     raise TypeError("export_dot takes a RegulatoryGraph or a TransitionSystem")
@@ -188,6 +194,8 @@ def transition_lines(sts: TransitionSystem, dot: bool):
     The tails cover the vertices that vary within a block, the heads the
     rest: code c is heads[c // width] + tails[c % width].
     """
+    from .dynamics import _TAIL_DIGITS
+
     quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
     clamps = sts.graph.clamps
     digits = [(str(clamps[i]),) if i in clamps else ("-1", "0", "1") for i in range(sts.graph.n)]
@@ -290,6 +298,8 @@ def render_report(report: dict) -> str:
 
 def example_network_text(name: str) -> str:
     """Source text of a bundled example network."""
+    from importlib import resources
+
     if name not in EXAMPLE_NETWORKS:
         raise KeyError(f"no bundled network named {name!r}; have {EXAMPLE_NETWORKS}")
     return resources.files("srg").joinpath("data", f"{name}.srg").read_text("utf-8")

@@ -1,5 +1,6 @@
 """Shared test machinery: state-space walks, random corpora, brute-force oracle."""
 
+import functools
 import itertools
 import os
 import random
@@ -10,6 +11,7 @@ import numpy as np
 
 import srg
 from srg import (
+    Attractor,
     EquivalenceReport,
     Phenotype,
     RegulatoryGraph,
@@ -114,6 +116,104 @@ def random_graph(rng, n=None, density=0.2, clamp_chance=0.0):
     return RegulatoryGraph(names, activation, inhibition, clamps)
 
 
+def kernel_corpus():
+    """60 small random graphs, a third each at clamp chance 0, 0.25 and 0.6."""
+    rng = random.Random(101)
+    return [
+        random_graph(rng, n=rng.randint(1, 7), density=rng.choice((0.1, 0.3, 0.5)),
+                     clamp_chance=clamp_chance)
+        for clamp_chance in (0.0, 0.25, 0.6)
+        for _ in range(20)
+    ]
+
+
+def edge_case_graphs():
+    """Graphs with no free vertex, one vertex, only clamped regulators, more
+    vertices than numpy allows axes, or 10 free vertices: three slabs of
+    3^9 codes, with clamps, a vertex that reads all ten, a long transient,
+    or period-2 cycles."""
+    graphs = [
+        RegulatoryGraph(["A", "B"], [("A", "B")], [("B", "A")], {"A": 1, "B": -1}),
+        RegulatoryGraph(["X"], [("X", "X")]),
+        RegulatoryGraph(["X"], [], [("X", "X")]),
+    ]
+    # C's regulators are all clamped, so its flags are scalars, not columns.
+    for a in (-1, 1):
+        graphs.append(RegulatoryGraph(["A", "C"], [], [("A", "C")], {"A": a}))
+        for b in (-1, 1):
+            graphs.append(RegulatoryGraph(
+                ["A", "B", "C", "D"], [("A", "C"), ("C", "D")], [("B", "C"), ("D", "D")],
+                {"A": a, "B": b},
+            ))
+    graphs.append(many_clamped_chain())
+    clamped = random_graph(random.Random(21), n=12, density=0.2)
+    graphs += [clamped.with_clamps({"v0": -1, "v11": 1}), hub(10), chain(10), oscillators(5)]
+    return graphs
+
+
+def chain(n):
+    names = [f"v{i}" for i in range(n)]
+    return RegulatoryGraph(names, list(zip(names, names[1:])))
+
+
+def hub(n):
+    """A chain whose middle vertex every vertex regulates, half of them by
+    inhibition: its move reads all n vertices."""
+    names = [f"v{i}" for i in range(n)]
+    middle = names[n // 2]
+    links = [(u, v) for u, v in zip(names, names[1:]) if v != middle]
+    return RegulatoryGraph(
+        names,
+        links + [(u, middle) for u in names[::2]],
+        [(u, middle) for u in names[1::2]],
+    )
+
+
+def oscillators(k):
+    """k period-2 oscillators, pairs that activate each other and inhibit
+    themselves (`test_dynamics.OSCILLATOR`), each pair also activating the next."""
+    names = [f"v{i}" for i in range(2 * k)]
+    pairs = list(zip(names[::2], names[1::2]))
+    links = [(b, c) for (_, b), (c, _) in zip(pairs, pairs[1:])]
+    return RegulatoryGraph(
+        names, [e for a, b in pairs for e in ((a, b), (b, a))] + links,
+        [(v, v) for v in names],
+    )
+
+
+def scalar_walk(graph):
+    """Every clamp-consistent state in code order, and the code of its
+    successor by the scalar `step`."""
+    states = list(clamp_consistent_states(graph))
+    code = {state: k for k, state in enumerate(states)}
+    return states, [code[step(graph, state)] for state in states]
+
+
+@functools.cache
+def scalar_successor_table():
+    """`(graph, *scalar_walk(graph))` for each graph of `kernel_corpus() +
+    edge_case_graphs()`: 261,186 states, stepped once for every kernel test
+    that checks them all."""
+    return [(graph, *scalar_walk(graph)) for graph in kernel_corpus() + edge_case_graphs()]
+
+
+def table_attractors(states, successors):
+    """The cycles of a scalar walk, sorted as `enumerate_attractors` returns
+    them: each state is visited once, marked with the start whose path
+    reached it, and a path that runs into its own mark has closed a cycle."""
+    mark = [0] * len(states)
+    found = []
+    for start in range(len(states)):
+        path, k = [], start
+        while not mark[k]:
+            mark[k] = start + 1
+            path.append(k)
+            k = successors[k]
+        if mark[k] == start + 1:
+            found.append(Attractor.from_cycle(states[i] for i in path[path.index(k):]))
+    return sorted(found, key=lambda a: a.states[0])
+
+
 def random_state(rng, graph):
     values = [rng.choice((-1, 0, 1)) for _ in range(graph.n)]
     for i, v in graph.clamps.items():
@@ -130,12 +230,13 @@ def random_phenotype(rng, graph, max_targets=None):
 
 SRG_SRC = os.path.dirname(os.path.dirname(os.path.abspath(srg.__file__)))
 
-# One `srg` call; then, as the last line of stdout, whether numpy is loaded.
-_NUMPY_PROBE = "\n".join([
+# One `srg` call; then, as the last line of stdout, whether numpy is loaded
+# and the srg modules that are.
+_MODULE_PROBE = "\n".join([
     "import sys",
     "from srg.cli import main",
     "code = main(sys.argv[1:])",
-    "print('numpy' in sys.modules)",
+    "print('numpy' in sys.modules, *sorted(m for m in sys.modules if m.split('.')[0] == 'srg'))",
     "sys.exit(code)",
 ])
 
@@ -149,8 +250,11 @@ def run_python(*args):
 
 
 def run_srg_fresh(*argv):
-    """(exit code, stdout, stderr, numpy loaded) of one `srg` call in a fresh interpreter."""
-    proc = run_python("-c", _NUMPY_PROBE, *argv)
+    """(exit code, stdout, stderr, numpy loaded, set of srg modules loaded) of
+    one `srg` call in a fresh interpreter."""
+    proc = run_python("-c", _MODULE_PROBE, *argv)
     lines = proc.stdout.splitlines(keepends=True)
-    assert lines and lines[-1] in ("True\n", "False\n"), proc.stderr
-    return proc.returncode, "".join(lines[:-1]), proc.stderr, lines[-1] == "True\n"
+    assert lines, proc.stderr
+    numpy_loaded, *modules = lines[-1].split()
+    assert numpy_loaded in ("True", "False"), proc.stderr
+    return proc.returncode, "".join(lines[:-1]), proc.stderr, numpy_loaded == "True", set(modules)

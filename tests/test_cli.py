@@ -404,7 +404,7 @@ class TestErrorPaths:
         def enumerate_attractors(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr("srg.cli.enumerate_attractors", enumerate_attractors)
+        monkeypatch.setattr("srg.dynamics.enumerate_attractors", enumerate_attractors)
         assert run(capsys, "attractors", "fig1a") == (code, "", message + "\n")
 
     def test_os_error_exits_2(self, capsys, tmp_path):
@@ -422,7 +422,7 @@ class TestErrorPaths:
     (("phenotype", "check", "mapk", "--target", "FOXO3=-1", "--mode", "oracle"), "3^5 = 243"),
 ], ids=["attractors", "sts", "verify-bn", "oracle"])
 def test_limit_refusal_exits_3_before_loading_numpy(argv, space):
-    code, out, err, numpy_loaded = run_srg_fresh(*argv, "--limit", "10")
+    code, out, err, numpy_loaded, _ = run_srg_fresh(*argv, "--limit", "10")
     assert (code, out, numpy_loaded) == (3, "", False)
     assert err == f"srg: state space has {space} states, which exceeds the limit of 10\n"
 

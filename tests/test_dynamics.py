@@ -26,11 +26,16 @@ from srg.netio import parse_state, transition_lines
 
 from helpers import (
     brute_force_attractors,
+    chain,
     clamp_consistent_states,
-    many_clamped_chain,
+    edge_case_graphs,
+    hub,
     random_graph,
     reference_sts_text,
+    scalar_successor_table,
+    scalar_walk,
     successor_codes,
+    table_attractors,
 )
 
 # Frozen from the brute-force oracle (simulate from each of the 27 states).
@@ -195,70 +200,6 @@ class TestEnumerateAttractors:
         assert "729" in str(err.value)
 
 
-def kernel_corpus():
-    """60 small random graphs, a third each at clamp chance 0, 0.25 and 0.6."""
-    rng = random.Random(101)
-    return [
-        random_graph(rng, n=rng.randint(1, 7), density=rng.choice((0.1, 0.3, 0.5)),
-                     clamp_chance=clamp_chance)
-        for clamp_chance in (0.0, 0.25, 0.6)
-        for _ in range(20)
-    ]
-
-
-def edge_case_graphs():
-    """Graphs with no free vertex, one vertex, only clamped regulators, more
-    vertices than numpy allows axes, or 10 free vertices: three slabs of
-    3^9 codes, with clamps, a vertex that reads all ten, a long transient,
-    or period-2 cycles."""
-    graphs = [
-        RegulatoryGraph(["A", "B"], [("A", "B")], [("B", "A")], {"A": 1, "B": -1}),
-        RegulatoryGraph(["X"], [("X", "X")]),
-        RegulatoryGraph(["X"], [], [("X", "X")]),
-    ]
-    # C's regulators are all clamped, so its flags are scalars, not columns.
-    for a in (-1, 1):
-        graphs.append(RegulatoryGraph(["A", "C"], [], [("A", "C")], {"A": a}))
-        for b in (-1, 1):
-            graphs.append(RegulatoryGraph(
-                ["A", "B", "C", "D"], [("A", "C"), ("C", "D")], [("B", "C"), ("D", "D")],
-                {"A": a, "B": b},
-            ))
-    graphs.append(many_clamped_chain())
-    clamped = random_graph(random.Random(21), n=12, density=0.2)
-    graphs += [clamped.with_clamps({"v0": -1, "v11": 1}), hub(10), chain(10), oscillators(5)]
-    return graphs
-
-
-def chain(n):
-    names = [f"v{i}" for i in range(n)]
-    return RegulatoryGraph(names, list(zip(names, names[1:])))
-
-
-def hub(n):
-    """A chain whose middle vertex every vertex regulates, half of them by
-    inhibition: its move reads all n vertices."""
-    names = [f"v{i}" for i in range(n)]
-    middle = names[n // 2]
-    links = [(u, v) for u, v in zip(names, names[1:]) if v != middle]
-    return RegulatoryGraph(
-        names,
-        links + [(u, middle) for u in names[::2]],
-        [(u, middle) for u in names[1::2]],
-    )
-
-
-def oscillators(k):
-    """k copies of OSCILLATOR, each pair also activating the next."""
-    names = [f"v{i}" for i in range(2 * k)]
-    pairs = list(zip(names[::2], names[1::2]))
-    links = [(b, c) for (_, b), (c, _) in zip(pairs, pairs[1:])]
-    return RegulatoryGraph(
-        names, [e for a, b in pairs for e in ((a, b), (b, a))] + links,
-        [(v, v) for v in names],
-    )
-
-
 def chain_fixed_points(graph):
     """Fixed points of an activation chain, built vertex by vertex.
 
@@ -276,12 +217,8 @@ def chain_fixed_points(graph):
 
 class TestKernel:
     def test_successor_codes_match_scalar_step(self):
-        for graph in kernel_corpus() + edge_case_graphs():
-            states = list(clamp_consistent_states(graph))
-            succ = successor_codes(graph)
-            assert len(succ) == len(states)
-            for state, k in zip(states, succ.tolist()):
-                assert states[k] == step(graph, state)
+        for graph, _, successors in scalar_successor_table():
+            assert successor_codes(graph).tolist() == successors
 
     def test_successor_codes_match_scalar_step_across_blocks(self):
         # 10 free vertices: v0 is the leading digit of three 3^9-state
@@ -335,8 +272,8 @@ class TestKernel:
         assert s == 3 ** len(lead) - 1
 
     def test_attractors_match_oracle(self):
-        for graph in kernel_corpus() + edge_case_graphs():
-            assert enumerate_attractors(graph) == brute_force_attractors(graph)
+        for graph, states, successors in scalar_successor_table():
+            assert enumerate_attractors(graph) == table_attractors(states, successors)
 
     def test_slab_graphs_reach_past_one_slab(self):
         slab_graphs = edge_case_graphs()[-4:]
@@ -439,12 +376,10 @@ class TestStateEnumeration:
         assert all(s[0] == -1 for s in states)
 
     def test_matches_reference_walk(self, fig1a, fig1b, mapk):
-        for graph in [fig1a, fig1b, mapk] + kernel_corpus() + edge_case_graphs():
-            states = list(clamp_consistent_states(graph))
+        walks = [(graph, *scalar_walk(graph)) for graph in (fig1a, fig1b, mapk)]
+        for graph, states, successors in walks + scalar_successor_table():
             assert sts_states(graph) == states
-            assert [states[k] for k in successor_codes(graph).tolist()] == [
-                step(graph, state) for state in states
-            ]
+            assert successor_codes(graph).tolist() == successors
 
 
 class TestTransitionSystem:

@@ -1,4 +1,13 @@
-"""Start-up: numpy loads only in the calls that walk the state space.
+"""Start-up: each call loads only the modules it runs, and numpy only to walk
+the state space.
+
+`import srg` loads no submodule: the package resolves each public name on
+first access.  `import srg.cli` loads `core`, `errors` and `netio`, and each
+command imports its analysis module as it runs: a step or the graph loads
+nothing more, a trajectory adds `dynamics`, a phenotype decision or witness
+adds `phenotype` and the `dynamics` it imports, and the encoding adds
+`boolenc` and `dynamics`.  The exact sets are checked below, from the
+loaded modules that `helpers.run_srg_fresh` reports.
 
 `srg._kernel` is the one module that imports numpy.  `enumerate_attractors`,
 `check_simulation_equivalence` and the successor blocks of a transition
@@ -16,6 +25,13 @@ import pytest
 
 from helpers import run_python, run_srg_fresh
 
+CLI = {"srg", "srg.cli", "srg.core", "srg.errors", "srg.netio"}
+DYNAMICS = CLI | {"srg.dynamics"}
+PHENOTYPE = DYNAMICS | {"srg.phenotype"}
+BOOLENC = DYNAMICS | {"srg.boolenc"}
+KERNEL = DYNAMICS | {"srg._kernel"}
+LOADED_BY = {"import srg": {"srg"}, "import srg.cli": CLI}
+
 
 @pytest.mark.parametrize("statement", ["import srg.cli", "import srg"])
 def test_import_loads_no_numpy(statement):
@@ -24,26 +40,26 @@ def test_import_loads_no_numpy(statement):
     # Each line reads "import time: self [us] | cumulative | imported package".
     imported = [line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert "srg.dynamics" in imported
+    assert {name for name in imported if name.partition(".")[0] == "srg"} == LOADED_BY[statement]
     assert [name for name in imported if name.partition(".")[0] == "numpy"] == []
 
 
-@pytest.mark.parametrize("argv, code", [
-    (("step", "fig1a", "(-1,1,1)", "-n", "3"), 0),
-    (("simulate", "mapk", "(-1,-1,-1,-1,1,1,-1)", "--json"), 0),
-    (("graph", "mapk"), 0),
-    (("graph", "fig1a", "--dot"), 0),
-    (("encode-bn", "mapk"), 0),
-    (("phenotype", "check", "fig1a", "--target", "A=1,B=-1"), 1),
-    (("phenotype", "check", "fig1b", "--target", "A=1,B=1", "--mode", "literal"), 0),
-    (("phenotype", "witness", "fig1b", "--target", "A=1", "--json"), 0),
-    (("phenotype", "check", "mapk", "--target", "AKT=1"), 0),
-    (("phenotype", "witness", "mapk", "--target", "AKT=1"), 0),
+@pytest.mark.parametrize("argv, code, modules", [
+    (("step", "fig1a", "(-1,1,1)", "-n", "3"), 0, CLI),
+    (("simulate", "mapk", "(-1,-1,-1,-1,1,1,-1)", "--json"), 0, DYNAMICS),
+    (("graph", "mapk"), 0, CLI),
+    (("graph", "fig1a", "--dot"), 0, CLI),
+    (("encode-bn", "mapk"), 0, BOOLENC),
+    (("phenotype", "check", "fig1a", "--target", "A=1,B=-1"), 1, PHENOTYPE),
+    (("phenotype", "check", "fig1b", "--target", "A=1,B=1", "--mode", "literal"), 0, PHENOTYPE),
+    (("phenotype", "witness", "fig1b", "--target", "A=1", "--json"), 0, PHENOTYPE),
+    (("phenotype", "check", "mapk", "--target", "AKT=1"), 0, PHENOTYPE),
+    (("phenotype", "witness", "mapk", "--target", "AKT=1"), 0, PHENOTYPE),
 ], ids=["step", "simulate", "graph", "graph-dot", "encode-bn", "paths", "literal", "witness",
         "paths-clamped", "witness-clamped"])
-def test_calls_that_never_enumerate_load_no_numpy(argv, code):
-    got, _, _, numpy_loaded = run_srg_fresh(*argv)
-    assert (got, numpy_loaded) == (code, False)
+def test_calls_that_never_enumerate_load_no_numpy(argv, code, modules):
+    got, _, _, numpy_loaded, loaded = run_srg_fresh(*argv)
+    assert (got, numpy_loaded, loaded) == (code, False, modules)
 
 
 @pytest.mark.parametrize("command", ["attractors", "sts", "verify-bn"])
@@ -52,20 +68,21 @@ def test_space_past_any_array_is_refused_before_numpy_loads(tmp_path, command):
     names = [f"v{i}" for i in range(40)]
     path = tmp_path / "chain40.srg"
     path.write_text("".join(f"{u} -> {v}\n" for u, v in zip(names, names[1:])))
-    got = run_srg_fresh(command, str(path), "--limit", str(3 ** 45))
+    got = run_srg_fresh(command, str(path), "--limit", str(3 ** 45))[:4]
     assert got == (3, "", "srg: out of memory; try a smaller network or a lower --limit\n", False)
 
 
-@pytest.mark.parametrize("argv", [
-    ("attractors", "fig1a"),
-    ("sts", "fig1b", "--dot"),
-    ("verify-bn", "fig1b"),
-    ("verify-bn", "mapk", "--samples", "200"),
-    ("phenotype", "check", "mapk", "--target", "FOXO3=-1,AKT=1", "--mode", "oracle"),
+@pytest.mark.parametrize("argv, modules", [
+    (("attractors", "fig1a"), KERNEL),
+    (("sts", "fig1b", "--dot"), KERNEL),
+    (("verify-bn", "fig1b"), KERNEL | BOOLENC),
+    (("verify-bn", "mapk", "--samples", "200"), KERNEL | BOOLENC),
+    (("phenotype", "check", "mapk", "--target", "FOXO3=-1,AKT=1", "--mode", "oracle"),
+     KERNEL | PHENOTYPE),
 ], ids=["attractors", "sts", "verify-bn", "verify-bn-sampled", "oracle"])
-def test_enumerating_calls_load_numpy(argv):
-    code, _, _, numpy_loaded = run_srg_fresh(*argv)
-    assert (code, numpy_loaded) == (0, True)
+def test_enumerating_calls_load_numpy(argv, modules):
+    code, _, _, numpy_loaded, loaded = run_srg_fresh(*argv)
+    assert (code, numpy_loaded, loaded) == (0, True, modules)
 
 
 def test_transition_system_loads_numpy_only_when_its_blocks_are_read():
