@@ -17,6 +17,12 @@ change a leading digit up to the last one it reads.  `sts` renders each
 slab as it is stepped, its labels split at the same 3^9 digit; enumeration
 marks the slabs in an image mask, one byte a state, steps only the image
 again, finds the cycles on that compact map and decodes only their states.
+
+The kernel also writes codes as text, for `sts` and `attractors`: code c's
+label is heads[c // w] + tails[c % w], from two short tables of label
+pieces over the leading and the trailing vertices (`_labels`), and a slab
+of `sts` lines or a batch of attractors is one join over an object array
+of table entries and separators, with no string built per state.
 """
 
 from __future__ import annotations
@@ -168,6 +174,88 @@ def _decode(graph, strides, codes):
     for i, stride in strides:
         values[:, i] = codes // stride % 3 - 1
     return values
+
+
+def _labels(graph, strides, tail_digits, start, sep, stop):
+    """(heads, tails): object arrays of label pieces, so that the label of
+    code c, `start + sep.join(values) + stop`, is heads[c // w] + tails[c % w]
+    with w = len(tails).
+
+    The tails span the last `tail_digits` free vertices and the clamped
+    ones among and after them, the heads the vertices before; every tail
+    spans at least one vertex, so each one carries `stop`.
+    """
+    digits = [(str(graph.clamps[i]),) if i in graph.clamps else ("-1", "0", "1")
+              for i in range(graph.n)]
+    lead = strides[:max(len(strides) - tail_digits, 0)]
+    split = lead[-1][0] + 1 if lead else 0
+    heads = [start + "".join(d + sep for d in p) for p in itertools.product(*digits[:split])]
+    tails = [sep.join(p) + stop for p in itertools.product(*digits[split:])]
+    return np.array(heads, dtype=object), np.array(tails, dtype=object)
+
+
+def _transition_text(graph, strides, blocks, dot):
+    """The text of `transition_lines`, a slab of successor `blocks` at a time.
+
+    The labels split at the slab's digit, so a slab's own labels are one
+    head before each of the tails; a slab's lines are one join over the
+    rows of a (slab, 6) object array whose separator columns are filled once.
+    """
+    quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
+    heads, tails = _labels(graph, strides, _TAIL_DIGITS, quote + "(", ",", ")" + quote)
+    width = len(tails)
+    if dot:
+        yield "digraph state_transitions {\n"
+        for head in heads:
+            pre = indent + head
+            yield pre + (end + pre).join(tails) + end
+    rows = np.empty((width, 6), dtype=object)
+    rows[:, 1], rows[:, 2], rows[:, 5] = tails, " -> ", end
+    for head, block in zip(heads, blocks):
+        rows[:, 0], rows[:, 3], rows[:, 4] = indent + head, heads[block // width], tails[block % width]
+        yield "".join(rows.ravel().tolist())
+    if dot:
+        yield "}\n"
+
+
+def _cycle_text(graph, strides, codes, ends, as_json):
+    """The attractor blocks of `srg attractors`, or with `as_json` the array
+    of its "attractors" key as `json.dumps(indent=2)` nests it, from the
+    `codes` and `ends` of `dynamics._cycle_codes`.
+
+    Yielded in batches of whole cycles, about 3^8 states each: a batch is
+    one join over the rows of a (states, 4) object array, a state's opener
+    or separator, label head, label tail, and closer.  The labels split at
+    half the free digits, which keeps both tables short.
+    """
+    if as_json:
+        start, sep, stop = "[\n" + " " * 12, ",\n" + " " * 12, "\n" + " " * 10 + "]"
+        opener = '{{\n        "period": {1},\n        "states": [\n          '
+        between, closer, joint = ",\n" + " " * 10, "\n        ]\n      }", ",\n      "
+        yield "[\n      "
+    else:
+        start, sep, stop = "  (", ",", ")\n"
+        opener, between, closer, joint = "attractor {0} (period {1}):\n", "", "", ""
+    heads, tails = _labels(graph, strides, (len(strides) + 1) // 2, start, sep, stop)
+    ends = np.asarray(ends)
+    starts = np.concatenate(([0], ends[:-1]))
+    j = 0
+    while j < len(ends):
+        k = max(j + 1, int(np.searchsorted(ends, starts[j] + _BLOCK_STATES // 3, "right")))
+        lo, hi = starts[j], ends[k - 1]
+        periods = (ends[j:k] - starts[j:k]).tolist()
+        rows = np.empty((hi - lo, 4), dtype=object)
+        rows[:, 0], rows[:, 3] = between, ""
+        rows[starts[j:k] - lo, 0] = list(map(opener.format, range(j + 1, k + 1), periods))
+        rows[ends[j:k] - 1 - lo, 3] = closer + joint
+        if k == len(ends):  # no joint after the last cycle
+            rows[-1, 3] = closer
+        batch = codes[lo:hi]
+        rows[:, 1], rows[:, 2] = heads[batch // len(tails)], tails[batch % len(tails)]
+        yield "".join(rows.ravel().tolist())
+        j = k
+    if as_json:
+        yield "\n    ]"
 
 
 def _evaluate(rule, bits):

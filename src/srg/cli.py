@@ -29,6 +29,7 @@ from .netio import (
     parse_network,
     parse_phenotype,
     parse_state,
+    render_report,
     serialize_network,
     state_json,
     trajectory_json,
@@ -108,16 +109,18 @@ def _cmd_simulate(graph, args):
 
 
 def _cmd_attractors(graph, args):
-    from .dynamics import enumerate_attractors
+    from .dynamics import _cycle_codes
 
-    attractors = enumerate_attractors(graph, state_limit=args.limit)
-    if args.json:
-        _emit(analysis_report("attractors", graph, {
-            "count": len(attractors),
-            "attractors": [attractor_json(a) for a in attractors],
-        }))
-        return EXIT_OK
-    _print_attractors(f"{len(attractors)} attractors", attractors)
+    strides, codes, ends = _cycle_codes(graph, state_limit=args.limit)
+    from ._kernel import _cycle_text  # only past the refusals: it loads numpy
+    text = _cycle_text(graph, strides, codes, ends, args.json)
+    if args.json:  # the array goes where the report has its empty placeholder
+        report = analysis_report("attractors", graph, {"count": len(ends), "attractors": []})
+        head, _, tail = render_report(report).rpartition("[]")
+        text = itertools.chain([head], text, [tail])
+    else:
+        print(f"{len(ends)} attractors")
+    sys.stdout.writelines(text)
     return EXIT_OK
 
 

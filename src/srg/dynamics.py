@@ -8,15 +8,21 @@ is the numpy code kernel in `srg._kernel` imported.  The kernel steps the
 codes in slabs of 3^9, each vertex's move over the axes of the vertices it
 reads.  A transition system hands out each slab as it is stepped; the
 enumeration marks them in an image mask, steps the codes in the image
-again, and peels that compact map down to its cycles.  Walking those in
-ascending code order starts each attractor at its least state and yields a
-sorted list.  At 3^14 states (a random 14-vertex graph of density 0.16)
-enumeration takes about 0.1 s, and the whole `attractors --json` process
-peaks near 32 MB on a 2-core Xeon: numpy, then a byte a state for the mask.
+again, and peels that compact map down to its cycles.  `_cycle_codes`
+walks those in ascending code order, marking visits in a bytearray, so
+each attractor starts at its least state and the list comes out sorted,
+as codes: the `attractors` command renders its text from them in bulk
+(`srg._kernel._cycle_text`), and `enumerate_attractors` decodes them into
+`Attractor`s.  At 3^14 states (a random 14-vertex graph of density 0.16)
+enumeration takes about 0.05 s, and the whole `attractors --json` process
+takes 0.13 s and peaks near 34 MB on a 2-core Xeon: numpy, then a byte a
+state for the mask.
 """
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -151,31 +157,47 @@ def _checked_state(graph, state) -> TernaryState:
     return st
 
 
+def _cycle_codes(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
+    """(strides, codes, ends): the states of every attractor as codes.
+
+    Cycle j holds codes[ends[j - 1]:ends[j]] (from 0 for j = 0), in
+    successor order from its least code, and the cycles come in ascending
+    order of that code, which is the order of `enumerate_attractors`.  The
+    cycle states of the compact map are walked in ascending order, each
+    visit marked in a bytearray; beside the image mask and the compact
+    map, only the codes and ends take memory, 8 bytes a cycle state and a
+    cycle at most.
+    """
+    strides = _free_strides(graph, state_limit)
+    from ._kernel import _compact_map, _peel
+
+    live, pos = _compact_map(graph, strides)
+    seen, succ = bytearray(len(live)), memoryview(pos)
+    order, ends = array("q"), array("q")
+    for k in memoryview(_peel(pos)[0]):
+        if not seen[k]:
+            while not seen[k]:
+                seen[k] = 1
+                order.append(k)
+                k = succ[k]
+            ends.append(len(order))
+    return strides, live.take(order), ends
+
+
 def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
     """Every attractor of the clamp-consistent state space.
 
     Returns a list sorted by each attractor's least state; refuses with
     StateSpaceLimitError when 3^(free vertices) exceeds `state_limit`, and
     with MemoryError past 3^32 states, which no array of codes can hold.
-    Only the image mask spans the space, one byte a state.
+    Only the image mask spans the space, one byte a state; the cycles come
+    from `_cycle_codes`, the walk the `attractors` command renders from.
     """
-    strides = _free_strides(graph, state_limit)
-    from ._kernel import _compact_map, _decode, _peel
+    strides, codes, ends = _cycle_codes(graph, state_limit)
+    from ._kernel import _decode
 
-    live, pos = _compact_map(graph, strides)
-    on_cycle, _ = _peel(pos)
-    keys = on_cycle.tolist()
-    nxt = dict(zip(keys, pos[on_cycle].tolist()))
-    state_of = dict(zip(keys, map(TernaryState, _decode(graph, strides, live[on_cycle]).tolist())))
-    attractors = []
-    for k in keys:
-        cycle = []
-        while k in nxt:
-            cycle.append(state_of[k])
-            k = nxt.pop(k)
-        if cycle:
-            attractors.append(Attractor(tuple(cycle)))
-    return attractors
+    states = list(map(TernaryState, _decode(graph, strides, codes).tolist()))
+    return [Attractor(tuple(states[a:b])) for a, b in itertools.pairwise([0, *ends])]
 
 
 def build_sts(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT) -> TransitionSystem:

@@ -15,7 +15,6 @@ by every state literal.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from typing import TYPE_CHECKING
@@ -189,32 +188,15 @@ def _graph_dot(graph):
 def transition_lines(sts: TransitionSystem, dot: bool):
     """One "state -> successor" line per state in canonical order, or DOT.
 
-    Yielded in blocks of 3^9 states, one per successor block of `sts`, so
-    neither the text nor the successor codes are ever in memory at once.
-    The tails cover the vertices that vary within a block, the heads the
-    rest: code c is heads[c // width] + tails[c % width].
+    Yielded a block of 3^9 states at a time, one per successor block of
+    `sts`, so neither the text nor the successor codes are ever in memory
+    at once.  Each block is joined in bulk from two label tables, heads
+    over the leading vertices and tails over the trailing ones: code c is
+    heads[c // width] + tails[c % width] (`_kernel._transition_text`).
     """
-    from .dynamics import _TAIL_DIGITS
+    from ._kernel import _transition_text
 
-    quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
-    clamps = sts.graph.clamps
-    digits = [(str(clamps[i]),) if i in clamps else ("-1", "0", "1") for i in range(sts.graph.n)]
-    lead = sts.strides[:-_TAIL_DIGITS]
-    split = lead[-1][0] + 1 if lead else 0
-    heads = [quote + "(" + "".join(d + "," for d in p) for p in itertools.product(*digits[:split])]
-    tails = [",".join(p) + ")" + quote for p in itertools.product(*digits[split:])]
-    width = len(tails)
-    if dot:
-        yield "digraph state_transitions {\n"
-        for head in heads:
-            yield "".join([f"  {head}{tail};\n" for tail in tails])
-    for head, block in zip(heads, sts.successor_blocks()):
-        yield "".join([
-            f"{indent}{head}{tail} -> {heads[b // width]}{tails[b % width]}{end}"
-            for tail, b in zip(tails, block.tolist())
-        ])
-    if dot:
-        yield "}\n"
+    yield from _transition_text(sts.graph, sts.strides, sts.successor_blocks(), dot)
 
 
 def state_json(state):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -22,6 +23,7 @@ from srg import (
     simulate,
     step,
 )
+from srg.netio import graph_json
 
 
 def clamp_consistent_states(graph):
@@ -60,18 +62,31 @@ def brute_force_attractors(graph):
     return sorted(found.values(), key=lambda a: a.states[0])
 
 
-def reference_sts_text(graph):
-    """`srg sts` text rendered from the scalar step, independent of the kernel."""
-    return "".join(f"{s!r} -> {step(graph, s)!r}\n" for s in clamp_consistent_states(graph))
+def reference_sts(states, successors, dot):
+    """`srg sts` text, or its DOT, rendered with `repr` from a `scalar_walk`,
+    independent of the kernel and of the label tables."""
+    labels = [repr(state) for state in states]
+    if not dot:
+        return "".join(f"{labels[i]} -> {labels[k]}\n" for i, k in enumerate(successors))
+    lines = ["digraph state_transitions {"] + [f'  "{label}";' for label in labels]
+    lines += [f'  "{labels[i]}" -> "{labels[k]}";' for i, k in enumerate(successors)]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
-def reference_sts_dot(graph):
-    """DOT of the transition system rendered from the scalar step."""
-    states = list(clamp_consistent_states(graph))
-    lines = ["digraph state_transitions {"]
-    lines += [f'  "{s!r}";' for s in states]
-    lines += [f'  "{s!r}" -> "{step(graph, s)!r}";' for s in states]
-    lines.append("}")
+def reference_attractors(graph, states, successors, as_json):
+    """`srg attractors` text, or its `--json` report, rendered from a
+    `scalar_walk` with `repr` and `json.dumps(indent=2)`."""
+    found = table_attractors(states, successors)
+    if as_json:
+        result = {"count": len(found), "attractors": [
+            {"period": a.period, "states": [list(s) for s in a.states]} for a in found
+        ]}
+        report = {"command": "attractors", "graph": graph_json(graph), "result": result}
+        return json.dumps(report, indent=2) + "\n"
+    lines = [f"{len(found)} attractors"]
+    for k, attractor in enumerate(found, start=1):
+        lines.append(f"attractor {k} (period {attractor.period}):")
+        lines += [f"  {state!r}" for state in attractor.states]
     return "\n".join(lines) + "\n"
 
 

@@ -12,11 +12,22 @@ import tracemalloc
 
 import pytest
 
-from srg import enumerate_attractors, load_example, parse_network, serialize_network
+from srg import (
+    RegulatoryGraph, enumerate_attractors, load_example, parse_network, serialize_network,
+)
 from srg.cli import build_parser, main
 from srg.netio import analysis_report, attractor_json, render_report
 
-from helpers import SRG_SRC, random_graph, reference_sts_dot, reference_sts_text, run_srg_fresh
+from helpers import (
+    SRG_SRC,
+    random_graph,
+    reference_attractors,
+    reference_sts,
+    run_srg_fresh,
+    scalar_successor_table,
+    scalar_walk,
+    table_attractors,
+)
 
 
 @pytest.fixture()
@@ -135,6 +146,63 @@ class TestAttractors:
         })
         assert run(capsys, *argv) == (0, render_report(report), "")
 
+    def test_memory_per_attractor_is_bounded(self, tmp_path):
+        # Every one of the 3^10 states of the self-activation map is a fixed
+        # point, so the output holds 3^10 attractors.
+        path = tmp_path / "identity10.srg"
+        path.write_text("".join(f"v{i} -> v{i}\n" for i in range(10)))
+        import srg._kernel  # noqa: F401  (numpy loads before the trace starts)
+
+        for extra in ([], ["--json"]):
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(["attractors", str(path), *extra]) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 200 * 3 ** 10, extra
+
+    def test_outputs_match_scalar_references(self, capsys, tmp_path):
+        """`attractors`, text and --json, and `sts`, text and DOT, against
+        references rendered from the scalar `step` with `repr` and
+        `json.dumps`.  The graphs: the bundled examples; the kernel corpus
+        and its edge cases (random graphs with clamps and period-2 cycles,
+        one free vertex, every vertex clamped, 70 vertices with 8 free); the
+        3^10 spaces of a graph clamped among both the label heads and the
+        tails, and of five coupled oscillators; an oscillator beside seven
+        self-activating vertices, whose 8,748 cycle states span two batches
+        of output; and vertex names that are keys of the JSON report."""
+        keys = RegulatoryGraph(
+            ["count", "attractors", "period", "states"],
+            [("count", "attractors"), ("attractors", "count"), ("states", "states")],
+            [("attractors", "attractors"), ("count", "count"), ("states", "count")],
+            {"period": 1},
+        )
+        names = ["a", "b"] + [f"w{i}" for i in range(7)]
+        batches = RegulatoryGraph(names, [("a", "b"), ("b", "a")] + [(w, w) for w in names[2:]],
+                                  [("a", "a"), ("b", "b")])
+        examples = [load_example(name) for name in ("fig1a", "fig1b", "mapk")]
+        walks = [(graph, *scalar_walk(graph)) for graph in [*examples, keys, batches]]
+        table = scalar_successor_table()
+        # The last four are 3^10 spaces: clamped, hub(10), chain(10), oscillators(5).
+        walks += table[:-3] + table[-1:]
+        path = tmp_path / "graph.srg"
+        periods = set()
+        for graph, states, successors in walks:
+            path.write_text(serialize_network(graph))
+            for flag in ([], ["--json"]):
+                expected = reference_attractors(graph, states, successors, as_json=bool(flag))
+                assert run(capsys, "attractors", str(path), *flag) == (0, expected, "")
+            for flag in ([], ["--dot"]):
+                expected = reference_sts(states, successors, dot=bool(flag))
+                assert run(capsys, "sts", str(path), *flag) == (0, expected, "")
+            if graph.clamps:
+                periods |= {a.period for a in table_attractors(states, successors)}
+        assert {1, 2} <= periods
+        free = [graph.n - len(graph.clamps) for graph, _, _ in walks]
+        assert {0, 1, 10} <= set(free)
+
     @pytest.mark.parametrize("command", ["attractors", "sts", "verify-bn"])
     def test_space_past_any_array_exits_3_without_allocating(self, capsys, tmp_path, command):
         # 3^40 codes: more than int64 holds and more axes than numpy allows.
@@ -202,8 +270,9 @@ class TestGraphAndSts:
         graphs[str(path)] = random_graph(rng, n=12, density=0.03).with_clamps({"v0": 1, "v6": -1})
         path.write_text(serialize_network(graphs[str(path)]))
         for source, graph in graphs.items():
-            assert run(capsys, "sts", source) == (0, reference_sts_text(graph), "")
-            assert run(capsys, "sts", source, "--dot") == (0, reference_sts_dot(graph), "")
+            walk = scalar_walk(graph)  # each state stepped once for both formats
+            assert run(capsys, "sts", source) == (0, reference_sts(*walk, dot=False), "")
+            assert run(capsys, "sts", source, "--dot") == (0, reference_sts(*walk, dot=True), "")
 
 
 class TestPhenotypeCommands:
@@ -401,10 +470,11 @@ class TestErrorPaths:
         (KeyboardInterrupt, 130, "srg: interrupted"),
     ], ids=("memory", "interrupt"))
     def test_crash_exit_codes(self, capsys, monkeypatch, exc, code, message):
-        def enumerate_attractors(*args, **kwargs):
+        def cycle_codes(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr("srg.dynamics.enumerate_attractors", enumerate_attractors)
+        # the cycle walk that `attractors` renders from
+        monkeypatch.setattr("srg.dynamics._cycle_codes", cycle_codes)
         assert run(capsys, "attractors", "fig1a") == (code, "", message + "\n")
 
     def test_os_error_exits_2(self, capsys, tmp_path):

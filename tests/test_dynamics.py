@@ -31,7 +31,7 @@ from helpers import (
     edge_case_graphs,
     hub,
     random_graph,
-    reference_sts_text,
+    reference_sts,
     scalar_successor_table,
     scalar_walk,
     successor_codes,
@@ -397,7 +397,8 @@ class TestTransitionSystem:
         assert "".join(transition_lines(sts, dot=False)) == "(1) -> (1)\n"
 
     def test_successor_map_matches_scalar_step(self, fig1b):
-        assert "".join(transition_lines(build_sts(fig1b), dot=False)) == reference_sts_text(fig1b)
+        text = "".join(transition_lines(build_sts(fig1b), dot=False))
+        assert text == reference_sts(*scalar_walk(fig1b), dot=False)
 
     def test_limit_refusal(self, fig1a):
         with pytest.raises(StateSpaceLimitError):

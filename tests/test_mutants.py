@@ -1,0 +1,141 @@
+"""Standing mutants: each one must fail a fast check against the scalar step.
+
+A mutant is one textual change to the source of one library function,
+compiled beside the original and monkeypatched over it.  Every change must
+match its source exactly once, so a mutant that no longer applies fails
+here instead of passing unseen.  The check compares, on a fixed corpus,
+the kernel's successor codes, the Boolean cross-check and the `attractors`
+and `sts` output with references built from the scalar `step`.
+"""
+
+import __future__
+import contextlib
+import importlib
+import inspect
+import io
+import random
+
+import pytest
+
+from srg import build_sts, check_simulation_equivalence, serialize_network, step
+from srg.cli import main
+
+from helpers import (
+    chain,
+    edge_case_graphs,
+    hub,
+    oscillators,
+    random_graph,
+    reference_attractors,
+    reference_sts,
+    scalar_walk,
+    successor_codes,
+)
+
+# id -> (module, function, source text, replacement)
+MUTANTS = {
+    # the five `_kernel._moves` mutants of ROADMAP item 2
+    "up-inh-le-0": ("_kernel", "_moves", "& (inh < 0)", "& (inh <= 0)"),
+    "down-act-le-0": ("_kernel", "_moves", "& (act < 0)", "& (act <= 0)"),
+    "up-inh-ne-1": ("_kernel", "_moves", "& (inh < 0)", "& (inh != 1)"),
+    "up-without-self": ("_kernel", "_moves", "(np.maximum(act, cur) == 1)", "(act == 1)"),
+    "down-without-self": ("_kernel", "_moves", "((inh == 1) | (cur == -1))", "(inh == 1)"),
+    # a move summed in the layer of the first leading digit it reads
+    "layer-min": ("_kernel", "_successor_slabs", "last = max(", "last = min("),
+    # a blocking regulator's on bit read where the rule needs its off bit
+    "bit-literal": ("boolenc", "encode_network", "bits[u][1] for u in block",
+                    "bits[u][0] for u in block"),
+    # the label heads one vertex short of the slab's leading digits
+    "label-split": ("_kernel", "_labels", "split = lead[-1][0] + 1", "split = lead[-1][0]"),
+    # every cycle started at the successor of its least state
+    "cycle-start": ("dynamics", "_cycle_codes", "            while not seen[k]:",
+                    "            k = succ[k]\n            while not seen[k]:"),
+}
+
+
+def mutant(module, name, old, new):
+    """The function `module.name` compiled from its source with `old` replaced by `new`."""
+    function = getattr(module, name)
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    code = compile(source.replace(old, new), inspect.getsourcefile(function), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    return namespace[name]
+
+
+def corpus():
+    """Small random graphs, with and without clamps, a fully clamped graph,
+    two coupled oscillators (period-2 cycles), and a 3^10 chain whose `sts`
+    labels have three heads; each with its scalar successor codes and the
+    outputs rendered from its scalar walk."""
+    rng = random.Random(61)
+    graphs = [random_graph(rng, n=rng.randint(3, 6), density=0.35, clamp_chance=chance)
+              for chance in (0.0, 0.3) for _ in range(6)]
+    graphs += [edge_case_graphs()[0], oscillators(2), chain(10)]
+    cases = []
+    for graph in graphs:
+        states, successors = scalar_walk(graph)
+        outputs = {("sts",): reference_sts(states, successors, dot=False)}
+        if len(states) < 3 ** 10:
+            outputs[("sts", "--dot")] = reference_sts(states, successors, dot=True)
+            for flag in ((), ("--json",)):
+                outputs[("attractors", *flag)] = reference_attractors(
+                    graph, states, successors, as_json=bool(flag))
+        cases.append((graph, successors, outputs))
+    return cases
+
+
+def slab_sample(graph, samples=12):
+    """Whether the slabs of the unclamped `graph` match the scalar step at a
+    few codes each."""
+    strides = [(i, 3 ** (graph.n - 1 - i)) for i in range(graph.n)]
+    rng = random.Random(3)
+    for s, slab in enumerate(build_sts(graph).successor_blocks()):
+        for k in rng.sample(range(len(slab)), samples):
+            code = s * len(slab) + k
+            state = [code // stride % 3 - 1 for _, stride in strides]
+            values = step(graph, state)
+            if int(slab[k]) != sum((v + 1) * stride for v, (_, stride) in zip(values, strides)):
+                return False
+    return True
+
+
+def failures(cases, tmp_path):
+    """The checks that disagree with the scalar step, by name."""
+    failed = set()
+    path = tmp_path / "graph.srg"
+    for graph, successors, outputs in cases:
+        if successor_codes(graph).tolist() != successors:
+            failed.add("successors")
+        if not check_simulation_equivalence(graph).ok:
+            failed.add("cross-check")
+        path.write_text(serialize_network(graph))
+        for argv, expected in outputs.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], str(path), *argv[1:]])
+            if (code, out.getvalue()) != (0, expected):
+                failed.add(" ".join(argv))
+    # hub(11): two leading digits, and the middle vertex reads both
+    if not slab_sample(hub(11)):
+        failed.add("slabs")
+    return failed
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return corpus()
+
+
+def test_the_library_passes_the_check(cases, tmp_path):
+    assert failures(cases, tmp_path) == set()
+
+
+@pytest.mark.parametrize("key", MUTANTS)
+def test_mutant_fails_the_check(cases, tmp_path, monkeypatch, key):
+    module, name, old, new = MUTANTS[key]
+    module = importlib.import_module(f"srg.{module}")
+    monkeypatch.setattr(module, name, mutant(module, name, old, new))
+    assert failures(cases, tmp_path)

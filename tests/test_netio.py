@@ -43,7 +43,7 @@ from srg import (
     phenotype_witness,
 )
 
-from helpers import random_graph, reference_sts_dot
+from helpers import random_graph, reference_sts, scalar_walk
 
 
 class TestParseNetwork:
@@ -234,7 +234,7 @@ class TestDotExport:
             random_graph(rng, density=0.3, clamp_chance=0.25) for _ in range(10)
         ]
         for graph in graphs:
-            assert export_dot(build_sts(graph)) == reference_sts_dot(graph)
+            assert export_dot(build_sts(graph)) == reference_sts(*scalar_walk(graph), dot=True)
 
     def test_sts_renderer_memory_is_bounded_by_the_block(self):
         """The first blocks must not need a label for every one of 3^12 states."""
