@@ -239,9 +239,9 @@ def _cycle_text(graph, strides, codes, ends, as_json):
     heads, tails = _labels(graph, strides, (len(strides) + 1) // 2, start, sep, stop)
     ends = np.asarray(ends)
     starts = np.concatenate(([0], ends[:-1]))
-    j = 0
+    j, most = 0, _BLOCK_STATES // 3  # a batch's states, so at most its cycles
     while j < len(ends):
-        k = max(j + 1, int(np.searchsorted(ends, starts[j] + _BLOCK_STATES // 3, "right")))
+        k = j + max(1, int(np.searchsorted(ends[j:j + most], starts[j] + most, "right")))
         lo, hi = starts[j], ends[k - 1]
         periods = (ends[j:k] - starts[j:k]).tolist()
         rows = np.empty((hi - lo, 4), dtype=object)
@@ -256,6 +256,19 @@ def _cycle_text(graph, strides, codes, ends, as_json):
         j = k
     if as_json:
         yield "\n    ]"
+
+
+def _closed_cycles(graph, pinned, strides, codes, ends):
+    """(codes, ends): the cycles of a `dynamics._cycle_codes` walk of `pinned` that `graph`'s
+    step keeps, at every state of which each vertex pinned only in `pinned` moves to its pin."""
+    ok = np.ones(len(codes), dtype=bool)
+    for i in pinned.clamps.keys() - graph.clamps.keys():
+        reads = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
+        columns = {u: (codes // k % 3 - 1).astype(np.int8) for u, k in strides if u in reads}
+        ok &= _moves(graph, {**pinned.clamps, **columns}, i)[pinned.clamps[i] == -1]
+    periods = np.diff(ends, prepend=0)
+    keep = np.logical_and.reduceat(ok, np.cumsum(periods) - periods)
+    return codes[np.repeat(keep, periods)], np.cumsum(periods[keep])
 
 
 def _evaluate(rule, bits):

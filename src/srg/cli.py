@@ -20,7 +20,6 @@ from .errors import ParseError, SRGError, StateSpaceLimitError
 from .netio import (
     EXAMPLE_NETWORKS,
     analysis_report,
-    attractor_json,
     decision_json,
     equivalence_json,
     export_dot,
@@ -71,12 +70,6 @@ def _print_states(header, states):
         print(f"  {format_state(s)}")
 
 
-def _print_attractors(header, attractors):
-    print(header)
-    for k, attractor in enumerate(attractors, start=1):
-        _print_states(f"attractor {k} (period {attractor.period}):", attractor.states)
-
-
 def _cmd_step(graph, args):
     state = parse_state(args.state, graph)
     if args.steps < 1:
@@ -108,20 +101,28 @@ def _cmd_simulate(graph, args):
     return EXIT_OK
 
 
+def _write_cycles(header, report, walk, as_json):
+    """Write `header` and the blocks of a walk, `(graph, *dynamics._cycle_codes(graph))`,
+    or `report` with them as its last key's array; no cycles keep its `[]` and exit 1."""
+    text = []
+    if len(walk[-1]):
+        from ._kernel import _cycle_text  # only past the refusals: it loads numpy
+        text = _cycle_text(*walk, as_json)
+    if as_json:  # the array goes where the report has its empty placeholder
+        head, _, tail = render_report(report).rpartition("[]")
+        text = itertools.chain([head], text or ["[]"], [tail])
+    else:
+        print(header)
+    sys.stdout.writelines(text)
+    return EXIT_OK if len(walk[-1]) else EXIT_EMPTY
+
+
 def _cmd_attractors(graph, args):
     from .dynamics import _cycle_codes
 
-    strides, codes, ends = _cycle_codes(graph, state_limit=args.limit)
-    from ._kernel import _cycle_text  # only past the refusals: it loads numpy
-    text = _cycle_text(graph, strides, codes, ends, args.json)
-    if args.json:  # the array goes where the report has its empty placeholder
-        report = analysis_report("attractors", graph, {"count": len(ends), "attractors": []})
-        head, _, tail = render_report(report).rpartition("[]")
-        text = itertools.chain([head], text, [tail])
-    else:
-        print(f"{len(ends)} attractors")
-    sys.stdout.writelines(text)
-    return EXIT_OK
+    walk = (graph, *_cycle_codes(graph, state_limit=args.limit))
+    report = analysis_report("attractors", graph, {"count": len(walk[-1]), "attractors": []})
+    return _write_cycles(f"{len(walk[-1])} attractors", report, walk, args.json)
 
 
 def _cmd_sts(graph, args):
@@ -143,20 +144,14 @@ def _cmd_graph(graph, args):
 
 
 def _cmd_phenotype_check(graph, args):
-    from .phenotype import attractors_with_phenotype, decide_phenotype
+    from .phenotype import _matching_cycles, decide_phenotype
 
     phenotype = parse_phenotype(args.target)
     if args.mode == "oracle":
-        matches = attractors_with_phenotype(graph, phenotype, state_limit=args.limit)
-        if args.json:
-            _emit(analysis_report("phenotype-check", graph, {
-                "mode": "oracle",
-                "admissible": bool(matches),
-                "attractors": [attractor_json(a) for a in matches],
-            }))
-        else:
-            _print_attractors(f"{len(matches)} matching attractors", matches)
-        return EXIT_OK if matches else EXIT_EMPTY
+        walk = _matching_cycles(graph, phenotype, args.limit)
+        result = {"mode": "oracle", "admissible": len(walk[-1]) > 0, "attractors": []}
+        report = analysis_report("phenotype-check", graph, result)
+        return _write_cycles(f"{len(walk[-1])} matching attractors", report, walk, args.json)
     decision = decide_phenotype(graph, phenotype, mode=args.mode)
     if args.json:
         _emit(analysis_report("phenotype-check", graph, decision_json(decision)))

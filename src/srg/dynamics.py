@@ -11,12 +11,12 @@ enumeration marks them in an image mask, steps the codes in the image
 again, and peels that compact map down to its cycles.  `_cycle_codes`
 walks those in ascending code order, marking visits in a bytearray, so
 each attractor starts at its least state and the list comes out sorted,
-as codes: the `attractors` command renders its text from them in bulk
-(`srg._kernel._cycle_text`), and `enumerate_attractors` decodes them into
-`Attractor`s.  At 3^14 states (a random 14-vertex graph of density 0.16)
-enumeration takes about 0.05 s, and the whole `attractors --json` process
-takes 0.13 s and peaks near 34 MB on a 2-core Xeon: numpy, then a byte a
-state for the mask.
+as codes: `srg attractors` and the phenotype oracle render them in bulk
+(`srg._kernel._cycle_text`); `enumerate_attractors` and the library's
+oracle decode them (`_attractors`).  At 3^14 states (a random 14-vertex
+graph of density 0.16) enumeration takes about 0.05 s, and the whole
+`attractors --json` process takes 0.13 s and peaks near 34 MB on a 2-core
+Xeon: numpy, then a byte a state for the mask.
 """
 
 from __future__ import annotations
@@ -165,15 +165,15 @@ def _cycle_codes(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
     order of that code, which is the order of `enumerate_attractors`.  The
     cycle states of the compact map are walked in ascending order, each
     visit marked in a bytearray; beside the image mask and the compact
-    map, only the codes and ends take memory, 8 bytes a cycle state and a
-    cycle at most.
+    map, only the codes and ends take memory, a code a cycle state and an
+    end a cycle, 4 bytes each below 2^31 states and 8 above.
     """
     strides = _free_strides(graph, state_limit)
     from ._kernel import _compact_map, _peel
 
     live, pos = _compact_map(graph, strides)
-    seen, succ = bytearray(len(live)), memoryview(pos)
-    order, ends = array("q"), array("q")
+    seen, succ, kind = bytearray(len(live)), memoryview(pos), "iq"[live.itemsize > 4]
+    order, ends = array(kind), array(kind)
     for k in memoryview(_peel(pos)[0]):
         if not seen[k]:
             while not seen[k]:
@@ -193,7 +193,11 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     Only the image mask spans the space, one byte a state; the cycles come
     from `_cycle_codes`, the walk the `attractors` command renders from.
     """
-    strides, codes, ends = _cycle_codes(graph, state_limit)
+    return _attractors(graph, *_cycle_codes(graph, state_limit))
+
+
+def _attractors(graph, strides, codes, ends):
+    """The cycles of a `_cycle_codes` walk of `graph` as `Attractor`s."""
     from ._kernel import _decode
 
     states = list(map(TernaryState, _decode(graph, strides, codes).tolist()))

@@ -7,6 +7,7 @@ predecessor-only one kept as a diagnostic.  The constructive side builds a
 witness attractor by freezing every vertex that the phenotype forces to -1
 and simulating from there.  Both reduce the clamps away first: a clamp
 overwrites its vertex's rule, so the edges into a clamped vertex never matter.
+The exhaustive oracle that both are tested against walks the pinned graph.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import RegulatoryGraph, TernaryState, _state_values
-from .dynamics import DEFAULT_STATE_LIMIT, Attractor, enumerate_attractors, is_trap_set, simulate
+from .dynamics import DEFAULT_STATE_LIMIT, Attractor, _attractors, _cycle_codes, simulate
 from .errors import SRGError
 
 log = logging.getLogger(__name__)
@@ -275,15 +276,22 @@ def phenotype_witness(graph: RegulatoryGraph, phenotype: Phenotype, completion=-
     return Witness(admissible=True, marking=marking, start=start, attractor=attractor)
 
 
-def attractors_with_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, state_limit=DEFAULT_STATE_LIMIT):
-    """Exhaustive oracle: the attractors whose every state matches `phenotype`.
-
-    Pinning the targets as clamps walks only the subspace S where they hold,
-    so `state_limit` counts S.  A cycle of `graph` inside S is a cycle of the
-    pinned graph; a pinned cycle closed under `graph`'s step is one of `graph`.
-    """
+def _matching_cycles(graph, phenotype, state_limit):
+    """`(pinned, strides, codes, ends)`: the `_cycle_codes` walk of `graph` with the
+    targets pinned, over the states S where they hold (`state_limit` counts S), less
+    the cycles that `graph`'s step leaves: `graph`'s cycles in S are the pinned ones it
+    keeps.  A target clamped the other way gives `(graph, [], [], [])`, with no walk."""
     required = _resolve_targets(graph, phenotype)
     if any(graph.clamps.get(i, v) != v for i, v in required.items()):
-        return []
+        return graph, [], [], []
     pinned = graph.with_clamps(required)
-    return [a for a in enumerate_attractors(pinned, state_limit) if is_trap_set(graph, a.states)]
+    strides, codes, ends = _cycle_codes(pinned, state_limit)
+    from ._kernel import _closed_cycles
+    return pinned, strides, *_closed_cycles(graph, pinned, strides, codes, ends)
+
+
+def attractors_with_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, state_limit=DEFAULT_STATE_LIMIT):
+    """Exhaustive oracle: the attractors whose every state matches `phenotype`,
+    sorted; `state_limit` counts the states where the targets hold."""
+    walk = _matching_cycles(graph, phenotype, state_limit)
+    return _attractors(*walk) if len(walk[-1]) else []

@@ -73,17 +73,26 @@ def reference_sts(states, successors, dot):
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def reference_attractors(graph, states, successors, as_json):
+def reference_attractors(graph, states, successors, as_json, targets=None):
     """`srg attractors` text, or its `--json` report, rendered from a
-    `scalar_walk` with `repr` and `json.dumps(indent=2)`."""
+    `scalar_walk` with `repr` and `json.dumps(indent=2)`; with `targets`, a
+    {vertex: value} phenotype, the output of `srg phenotype check --mode
+    oracle`: the attractors whose every state holds it."""
     found = table_attractors(states, successors)
+    if targets is None:
+        header, command, result = f"{len(found)} attractors", "attractors", {"count": len(found)}
+    else:
+        pins = {graph.index_of(name): v for name, v in targets.items()}
+        found = [a for a in found if all(s[i] == v for s in a.states for i, v in pins.items())]
+        header, command = f"{len(found)} matching attractors", "phenotype-check"
+        result = {"mode": "oracle", "admissible": bool(found)}
     if as_json:
-        result = {"count": len(found), "attractors": [
+        result["attractors"] = [
             {"period": a.period, "states": [list(s) for s in a.states]} for a in found
-        ]}
-        report = {"command": "attractors", "graph": graph_json(graph), "result": result}
+        ]
+        report = {"command": command, "graph": graph_json(graph), "result": result}
         return json.dumps(report, indent=2) + "\n"
-    lines = [f"{len(found)} attractors"]
+    lines = [header]
     for k, attractor in enumerate(found, start=1):
         lines.append(f"attractor {k} (period {attractor.period}):")
         lines += [f"  {state!r}" for state in attractor.states]

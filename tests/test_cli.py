@@ -50,6 +50,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def key_names():
+    """A graph whose vertex names are keys of the JSON reports, one clamped."""
+    return RegulatoryGraph(
+        ["count", "attractors", "period", "states"],
+        [("count", "attractors"), ("attractors", "count"), ("states", "states")],
+        [("attractors", "attractors"), ("count", "count"), ("states", "count")],
+        {"period": 1},
+    )
+
+
+def self_activation_file(tmp_path, n):
+    """A network of n self-activating vertices: every state is a fixed point."""
+    path = tmp_path / f"identity{n}.srg"
+    path.write_text("".join(f"v{i} -> v{i}\n" for i in range(n)))
+    return path
+
+
 class TestStepAndSimulate:
     def test_step(self, capsys):
         code, out, _ = run(capsys, "step", "fig1a", "(-1,1,1)")
@@ -122,10 +139,9 @@ class TestAttractors:
 
     def test_json_report_is_streamed(self, capsys, tmp_path):
         # Every state of the self-activation map is a fixed point: 3^8
-        # attractors, whose chunks span many of the batches _emit writes.
-        text = "".join(f"v{i} -> v{i}\n" for i in range(8))
-        path = tmp_path / "identity8.srg"
-        path.write_text(text)
+        # attractors, whose text spans many of the batches `_cycle_text` yields.
+        path = self_activation_file(tmp_path, 8)
+        text = path.read_text()
         argv = ["attractors", str(path), "--json"]
         import srg._kernel  # noqa: F401  (numpy loads before the trace starts)
 
@@ -147,21 +163,25 @@ class TestAttractors:
         assert run(capsys, *argv) == (0, render_report(report), "")
 
     def test_memory_per_attractor_is_bounded(self, tmp_path):
-        # Every one of the 3^10 states of the self-activation map is a fixed
-        # point, so the output holds 3^10 attractors.
-        path = tmp_path / "identity10.srg"
-        path.write_text("".join(f"v{i} -> v{i}\n" for i in range(10)))
+        # Every state of a self-activation map is a fixed point, so each call
+        # writes 3^10 attractors: all of the 10-vertex map, and those of the
+        # 11-vertex map that the oracle finds with v0 pinned.
+        calls = [["attractors", str(self_activation_file(tmp_path, 10))],
+                 ["phenotype", "check", str(self_activation_file(tmp_path, 11)),
+                  "--target", "v0=1", "--mode", "oracle"]]
         import srg._kernel  # noqa: F401  (numpy loads before the trace starts)
+        import srg.phenotype  # noqa: F401
 
-        for extra in ([], ["--json"]):
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                tracemalloc.start()
-                try:
-                    assert main(["attractors", str(path), *extra]) == 0
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert peak < 200 * 3 ** 10, extra
+        for argv in calls:
+            for extra in ([], ["--json"]):
+                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                    tracemalloc.start()
+                    try:
+                        assert main([*argv, *extra]) == 0
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                assert peak < 200 * 3 ** 10, argv + extra
 
     def test_outputs_match_scalar_references(self, capsys, tmp_path):
         """`attractors`, text and --json, and `sts`, text and DOT, against
@@ -173,12 +193,7 @@ class TestAttractors:
         tails, and of five coupled oscillators; an oscillator beside seven
         self-activating vertices, whose 8,748 cycle states span two batches
         of output; and vertex names that are keys of the JSON report."""
-        keys = RegulatoryGraph(
-            ["count", "attractors", "period", "states"],
-            [("count", "attractors"), ("attractors", "count"), ("states", "states")],
-            [("attractors", "attractors"), ("count", "count"), ("states", "count")],
-            {"period": 1},
-        )
+        keys = key_names()
         names = ["a", "b"] + [f"w{i}" for i in range(7)]
         batches = RegulatoryGraph(names, [("a", "b"), ("b", "a")] + [(w, w) for w in names[2:]],
                                   [("a", "a"), ("b", "b")])
@@ -293,6 +308,38 @@ class TestPhenotypeCommands:
         report = json.loads(out)
         assert report["result"]["admissible"] is True
         assert len(report["result"]["attractors"]) == 15
+
+    def test_oracle_outputs_match_scalar_references(self, capsys, tmp_path):
+        """The oracle's text and --json against `reference_attractors` with
+        targets, which filters the attractors of the scalar `step`: on the
+        bundled examples, the graph whose vertex names are report keys, and
+        the clamped graphs of the kernel corpus and its edge cases, with
+        targets on free vertices, on clamps of the same value and on clamps
+        of the other value (no attractor, exit 1, an empty JSON array)."""
+        rng = random.Random(23)
+        examples = [load_example(name) for name in ("fig1a", "fig1b", "mapk")]
+        walks = [(graph, *scalar_walk(graph)) for graph in [*examples, key_names()]]
+        walks += [walk for walk in scalar_successor_table() if walk[0].clamps]
+        path = tmp_path / "graph.srg"
+        codes = set()
+        for graph, states, successors in walks:
+            path.write_text(serialize_network(graph))
+            free = [v for i, v in enumerate(graph.vertices) if i not in graph.clamps]
+            picked = rng.sample(free, min(len(free), rng.randint(1, 2)))
+            targets = [{v: rng.choice((-1, 1)) for v in picked}]
+            for i, value in list(graph.clamps.items())[:1]:
+                name = graph.vertices[i]
+                targets += [{**targets[0], name: value}, {**targets[0], name: -value}]
+            for target in filter(None, targets):  # no free vertex, no first target
+                argv = ["phenotype", "check", str(path), "--mode", "oracle",
+                        "--target", ",".join(f"{v}={x}" for v, x in target.items())]
+                text = reference_attractors(graph, states, successors, False, target)
+                report = reference_attractors(graph, states, successors, True, target)
+                code = 1 if text.startswith("0 ") else 0
+                assert run(capsys, *argv) == (code, text, ""), argv
+                assert run(capsys, *argv, "--json") == (code, report, ""), argv
+                codes.add(code)
+        assert codes == {0, 1}
 
     def test_oracle_limit_counts_the_pinned_space(self, capsys):
         target = ["--target", "FOXO3=-1,AKT=1", "--mode", "oracle"]

@@ -4,8 +4,9 @@ A mutant is one textual change to the source of one library function,
 compiled beside the original and monkeypatched over it.  Every change must
 match its source exactly once, so a mutant that no longer applies fails
 here instead of passing unseen.  The check compares, on a fixed corpus,
-the kernel's successor codes, the Boolean cross-check and the `attractors`
-and `sts` output with references built from the scalar `step`.
+the kernel's successor codes, the Boolean cross-check and the output of
+`attractors`, `sts` and the phenotype oracle with references built from the
+scalar `step`.
 """
 
 import __future__
@@ -50,6 +51,9 @@ MUTANTS = {
     # every cycle started at the successor of its least state
     "cycle-start": ("dynamics", "_cycle_codes", "            while not seen[k]:",
                     "            k = succ[k]\n            while not seen[k]:"),
+    # the oracle's closure check reading a target pinned at 1 as pinned at -1
+    "closure-sign": ("_kernel", "_closed_cycles", "[pinned.clamps[i] == -1]",
+                     "[pinned.clamps[i] == 1]"),
 }
 
 
@@ -69,7 +73,8 @@ def corpus():
     """Small random graphs, with and without clamps, a fully clamped graph,
     two coupled oscillators (period-2 cycles), and a 3^10 chain whose `sts`
     labels have three heads; each with its scalar successor codes and the
-    outputs rendered from its scalar walk."""
+    exit codes and outputs rendered from its scalar walk, keyed by command
+    line, the oracle's with a random target on one or two vertices."""
     rng = random.Random(61)
     graphs = [random_graph(rng, n=rng.randint(3, 6), density=0.35, clamp_chance=chance)
               for chance in (0.0, 0.3) for _ in range(6)]
@@ -77,12 +82,20 @@ def corpus():
     cases = []
     for graph in graphs:
         states, successors = scalar_walk(graph)
-        outputs = {("sts",): reference_sts(states, successors, dot=False)}
+        outputs = {("sts",): (0, reference_sts(states, successors, dot=False))}
         if len(states) < 3 ** 10:
-            outputs[("sts", "--dot")] = reference_sts(states, successors, dot=True)
+            outputs[("sts", "--dot")] = (0, reference_sts(states, successors, dot=True))
+            picked = rng.sample(graph.vertices, min(graph.n, rng.randint(1, 2)))
+            target = {v: rng.choice((-1, 1)) for v in picked}
+            literal = ",".join(f"{v}={x}" for v, x in target.items())
+            oracle = ("phenotype check", "--target", literal, "--mode", "oracle")
+            text = reference_attractors(graph, states, successors, False, target)
+            code = 1 if text.startswith("0 ") else 0
             for flag in ((), ("--json",)):
-                outputs[("attractors", *flag)] = reference_attractors(
-                    graph, states, successors, as_json=bool(flag))
+                outputs[("attractors", *flag)] = (0, reference_attractors(
+                    graph, states, successors, as_json=bool(flag)))
+                outputs[(*oracle, *flag)] = (code, reference_attractors(
+                    graph, states, successors, bool(flag), target))
         cases.append((graph, successors, outputs))
     return cases
 
@@ -115,8 +128,8 @@ def failures(cases, tmp_path):
         for argv, expected in outputs.items():
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main([argv[0], str(path), *argv[1:]])
-            if (code, out.getvalue()) != (0, expected):
+                code = main([*argv[0].split(), str(path), *argv[1:]])
+            if (code, out.getvalue()) != expected:
                 failed.add(" ".join(argv))
     # hub(11): two leading digits, and the middle vertex reads both
     if not slab_sample(hub(11)):

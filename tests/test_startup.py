@@ -16,7 +16,8 @@ the space (`build_sts` alone lays the space out and imports nothing), so
 `sts` loads numpy only as it renders; a step, a trajectory, a
 phenotype decision, a witness, the graph and its encoding start without
 numpy, and so does a space that `_free_strides` refuses, over `--limit` or
-past 3^32 states; `test_cli.py` checks the refusals' output.  Each check
+past 3^32 states, and an oracle whose target is clamped the other way;
+`test_cli.py` checks the refusals' output.  Each check
 runs in a fresh interpreter, since an imported module stays in
 `sys.modules`.
 """
@@ -55,8 +56,11 @@ def test_import_loads_no_numpy(statement):
     (("phenotype", "witness", "fig1b", "--target", "A=1", "--json"), 0, PHENOTYPE),
     (("phenotype", "check", "mapk", "--target", "AKT=1"), 0, PHENOTYPE),
     (("phenotype", "witness", "mapk", "--target", "AKT=1"), 0, PHENOTYPE),
+    # a target clamped the other way: the oracle answers with no walk
+    (("phenotype", "check", "mapk", "--target", "RTK=1", "--mode", "oracle", "--json"), 1,
+     PHENOTYPE),
 ], ids=["step", "simulate", "graph", "graph-dot", "encode-bn", "paths", "literal", "witness",
-        "paths-clamped", "witness-clamped"])
+        "paths-clamped", "witness-clamped", "oracle-clamp-conflict"])
 def test_calls_that_never_enumerate_load_no_numpy(argv, code, modules):
     got, _, _, numpy_loaded, loaded = run_srg_fresh(*argv)
     assert (got, numpy_loaded, loaded) == (code, False, modules)
