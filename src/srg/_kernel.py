@@ -35,7 +35,12 @@ import random
 import numpy as np
 
 from .core import TernaryState, apply_clamps
-from .dynamics import _BLOCK_STATES, _TAIL_DIGITS
+
+# A slab, like an `sts` label tail, spans the last _TAIL_DIGITS free
+# vertices; the sampled check, and enumeration as it steps the image again,
+# take _BLOCK_STATES states a batch.
+_TAIL_DIGITS = 9
+_BLOCK_STATES = 3 ** _TAIL_DIGITS
 
 
 def _code_dtype(size):
@@ -141,7 +146,7 @@ def _compact_map(graph, strides):
     pos = np.empty_like(live)
     for lo in range(0, len(live), _BLOCK_STATES):
         codes = live[lo:lo + _BLOCK_STATES]
-        columns = dict(enumerate(_decode(graph, strides, codes).T))
+        columns = _columns(graph, strides, codes)
         nxt, group = np.empty_like(codes), [(i, live.dtype.type(k), columns) for i, k in strides]
         _add_moves(graph, nxt, (size - 1) // 2, group, {})
         pos[lo:lo + len(codes)] = np.searchsorted(live, nxt)
@@ -163,16 +168,25 @@ def _peel(succ):
         live = succ[live]
         image[live] = True
         live = np.flatnonzero(image)
-    return live, rounds
+    return live.astype(succ.dtype, copy=False), rounds
+
+
+def _columns(graph, strides, codes, reads=None):
+    """The values of `codes` per vertex: each clamp as a scalar, and an int8
+    column, from the codes' digits in their own dtype, for each free vertex
+    in `reads` (every free vertex if None)."""
+    columns = dict(graph.clamps)
+    for i, stride in strides:
+        if reads is None or i in reads:
+            columns[i] = (codes // stride % 3 - 1).astype(np.int8)
+    return columns
 
 
 def _decode(graph, strides, codes):
-    """The int8 values of `codes`, a row per code; a clamped vertex takes no code digit."""
-    codes = np.asarray(codes, dtype=np.int64)
-    values = np.zeros((len(codes), graph.n), dtype=np.int8)
-    values[:, list(graph.clamps)] = list(graph.clamps.values())
-    for i, stride in strides:
-        values[:, i] = codes // stride % 3 - 1
+    """The int8 values of the array `codes`, a row per code, filled a vertex at a time."""
+    values = np.empty((len(codes), graph.n), dtype=np.int8)
+    for i in range(graph.n):
+        values[:, i] = _columns(graph, strides, codes, {i})[i]
     return values
 
 
@@ -264,8 +278,7 @@ def _closed_cycles(graph, pinned, strides, codes, ends):
     ok = np.ones(len(codes), dtype=bool)
     for i in pinned.clamps.keys() - graph.clamps.keys():
         reads = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
-        columns = {u: (codes // k % 3 - 1).astype(np.int8) for u, k in strides if u in reads}
-        ok &= _moves(graph, {**pinned.clamps, **columns}, i)[pinned.clamps[i] == -1]
+        ok &= _moves(graph, _columns(pinned, strides, codes, reads), i)[pinned.clamps[i] == -1]
     periods = np.diff(ends, prepend=0)
     keep = np.logical_and.reduceat(ok, np.cumsum(periods) - periods)
     return codes[np.repeat(keep, periods)], np.cumsum(periods[keep])
@@ -325,7 +338,7 @@ def _first_mismatch(graph, network, strides):
                 break
     if least == size:
         return size, None
-    return least + 1, TernaryState(_decode(graph, strides, [least])[0].tolist())
+    return least + 1, TernaryState(_decode(graph, strides, np.array([least], dtype))[0].tolist())
 
 
 def _first_sampled_mismatch(graph, network, samples, seed):

@@ -4,19 +4,12 @@ The synchronous rule makes the state space a functional graph: every state
 has exactly one successor, so the attractors are exactly the cycles.
 `_free_strides` lays out the clamp-consistent space, a code digit per free
 vertex, and refuses it over the state limit or past 3^32 states; only then
-is the numpy code kernel in `srg._kernel` imported.  The kernel steps the
-codes in slabs of 3^9, each vertex's move over the axes of the vertices it
-reads.  A transition system hands out each slab as it is stepped; the
-enumeration marks them in an image mask, steps the codes in the image
-again, and peels that compact map down to its cycles.  `_cycle_codes`
-walks those in ascending code order, marking visits in a bytearray, so
-each attractor starts at its least state and the list comes out sorted,
-as codes: `srg attractors` and the phenotype oracle render them in bulk
-(`srg._kernel._cycle_text`); `enumerate_attractors` and the library's
-oracle decode them (`_attractors`).  At 3^14 states (a random 14-vertex
-graph of density 0.16) enumeration takes about 0.05 s, and the whole
-`attractors --json` process takes 0.13 s and peaks near 34 MB on a 2-core
-Xeon: numpy, then a byte a state for the mask.
+is the numpy code kernel in `srg._kernel` imported, which steps the codes
+and finds the states on cycles.  `_cycle_codes` walks those in ascending
+code order, marking visits in a bytearray, so each attractor starts at its
+least state and the list comes out sorted, as codes: `srg attractors` and
+the phenotype oracle render them in bulk (`srg._kernel._cycle_text`);
+`enumerate_attractors` and the library's oracle decode them (`_attractors`).
 """
 
 from __future__ import annotations
@@ -30,12 +23,6 @@ from .core import (
     DEFAULT_STATE_LIMIT, RegulatoryGraph, TernaryState, _state_values, apply_clamps, step,
 )
 from .errors import StateSpaceLimitError, StepBudgetError
-
-# A kernel slab, like an `sts` label tail, spans the last _TAIL_DIGITS free
-# vertices; the sampled check, and enumeration as it steps the image again,
-# take _BLOCK_STATES states a batch.
-_TAIL_DIGITS = 9
-_BLOCK_STATES = 3 ** _TAIL_DIGITS
 
 
 @dataclass(frozen=True)
@@ -118,17 +105,15 @@ def simulate(graph: RegulatoryGraph, start, max_steps=None) -> Trajectory:
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     current = apply_clamps(graph, start)
-    states = [current]
-    seen = {current: 0}
-    for taken in range(1, max_steps + 1):
+    seen = {current: 0}  # each state's index in the run: insertion order is the run's order
+    for _ in range(max_steps):
         current = step(graph, current)
         if current in seen:
-            first = seen[current]
-            return Trajectory(transient=tuple(states[:first]), cycle=tuple(states[first:]))
-        seen[current] = taken
-        states.append(current)
+            states = tuple(seen)
+            return Trajectory(transient=states[:seen[current]], cycle=states[seen[current]:])
+        seen[current] = len(seen)
     raise StepBudgetError(
-        f"no cycle within {max_steps} steps from {states[0]!r}; raise max_steps"
+        f"no cycle within {max_steps} steps from {next(iter(seen))!r}; raise max_steps"
     )
 
 
@@ -181,7 +166,7 @@ def _cycle_codes(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
                 order.append(k)
                 k = succ[k]
             ends.append(len(order))
-    return strides, live.take(order), ends
+    return strides, live[order], ends
 
 
 def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):

@@ -97,6 +97,20 @@ class TestStepAndSimulate:
                 tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_step_json_is_written_in_chunks(self):
+        # The report holds a list per state, about 150 bytes, but `_emit`
+        # writes its text a few thousand chunks at a time: rendering it as
+        # one string peaked at 783 bytes a state.
+        argv = ["step", "mapk", "(-1,1,1,0,-1,1,0)", "-n", "20000", "--json"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 250 * 20000
+
     def test_simulate_text(self, capsys):
         code, out, _ = run(capsys, "simulate", "fig1b", "(1,-1,1)")
         assert code == 0

@@ -20,8 +20,8 @@ from srg import (
     step,
     update_vertex,
 )
-from srg._kernel import _code_dtype, _peel
-from srg.dynamics import _BLOCK_STATES, _TAIL_DIGITS, _cycle_codes, _free_strides
+from srg._kernel import _BLOCK_STATES, _TAIL_DIGITS, _code_dtype, _peel
+from srg.dynamics import _cycle_codes, _free_strides
 from srg.netio import parse_state, transition_lines
 
 from helpers import (
@@ -357,11 +357,13 @@ class TestKernel:
         assert _code_dtype(3 ** 20) is np.int64
 
     def test_cycle_walk_takes_4_bytes_a_code_below_2_31_states(self, monkeypatch):
-        """Below 2^31 states the walk keeps 4-byte codes, cycle ends and
-        visit order: on the 10-vertex self-activation map, every state a
-        fixed point, it peaks under 31 bytes a state and keeps under 10
-        (with 8-byte order and ends, 33 and 12).  Codes of the int64 type
-        give 8-byte ends with the same values."""
+        """Below 2^31 states the walk keeps 4-byte codes, cycle ends, visit
+        order and cycle indices, and indexes with the order as it is: on the
+        10-vertex self-activation map, every state a fixed point, it peaks
+        at 22.3 bytes a state, under 24, and keeps under 10.  With 8-byte
+        order and ends it read 29.1 and 12, with 8-byte cycle indices 25.1,
+        and with the order cast to intp by `take` 29.1.  Codes of the int64
+        type give 8-byte ends with the same values."""
         names = [f"v{i}" for i in range(10)]
         graph = RegulatoryGraph(names, [(v, v) for v in names])
         tracemalloc.start()
@@ -371,7 +373,7 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert (codes.itemsize, ends.itemsize, len(ends)) == (4, 4, 3 ** 10)
-        assert peak < 31 * 3 ** 10 and kept < 10 * 3 ** 10
+        assert peak < 24 * 3 ** 10 and kept < 10 * 3 ** 10
         monkeypatch.setattr("srg._kernel._code_dtype", lambda size: np.int64)
         _, wide, wide_ends = _cycle_codes(graph)
         assert (wide.itemsize, wide_ends.itemsize) == (8, 8)
