@@ -15,7 +15,7 @@ shape of the vertices they read or over blocks of drawn states; the scalar
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import RegulatoryGraph, TernaryState, step
 from .dynamics import DEFAULT_STATE_LIMIT, _free_strides
@@ -40,8 +40,7 @@ class BooleanState(tuple):
         return tuple.__new__(cls, map(int, vals))
 
 
-@dataclass(frozen=True)
-class BitRule:
+class BitRule(NamedTuple):
     """(any of or_terms) and (all of and_terms); constants for clamped bits.
 
     An empty disjunction is false and an empty conjunction is true, but
@@ -64,8 +63,7 @@ class BitRule:
         return " & ".join([left, *self.and_terms])
 
 
-@dataclass(frozen=True)
-class BooleanNetwork:
+class BooleanNetwork(NamedTuple):
     vertex_names: tuple
     variables: tuple
     rules: tuple
@@ -147,8 +145,7 @@ def bn_step(network: BooleanNetwork, bstate) -> BooleanState:
     return BooleanState(out)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of a commuting-square check between the two engines."""
 
     ok: bool

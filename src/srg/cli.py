@@ -64,6 +64,23 @@ def _emit(report):
     sys.stdout.write("\n")
 
 
+def _splice(report, array):
+    """The text of `render_report(report)` with the chunks of `array` written
+    in place of the empty placeholder `[]` of its last key."""
+    head, _, tail = render_report(report).rpartition("[]")
+    return itertools.chain([head], array, [tail])
+
+
+def _state_array(states):
+    """The "states" array of `step --json` as `json.dumps(indent=2)` nests it
+    in the report, a state at a time: no list of the states is kept."""
+    opener, sep = "[\n      [\n        ", ",\n        "
+    for s in states:
+        yield opener + sep.join(map(str, s)) + "\n      ]"
+        opener = ",\n      [\n        "
+    yield "\n    ]"
+
+
 def _print_states(header, states):
     print(header)
     for s in states:
@@ -78,10 +95,8 @@ def _cmd_step(graph, args):
     steps = itertools.accumulate(range(args.steps), lambda s, _: step(graph, s), initial=state)
     states = itertools.islice(steps, 1, None)
     if args.json:
-        _emit(analysis_report("step", graph, {
-            "start": state_json(state),
-            "states": [state_json(s) for s in states],
-        }))
+        report = analysis_report("step", graph, {"start": state_json(state), "states": []})
+        sys.stdout.writelines(_splice(report, _state_array(states)))
     else:
         for s in states:
             print(format_state(s))
@@ -108,9 +123,8 @@ def _write_cycles(header, report, walk, as_json):
     if len(walk[-1]):
         from ._kernel import _cycle_text  # only past the refusals: it loads numpy
         text = _cycle_text(*walk, as_json)
-    if as_json:  # the array goes where the report has its empty placeholder
-        head, _, tail = render_report(report).rpartition("[]")
-        text = itertools.chain([head], text or ["[]"], [tail])
+    if as_json:
+        text = _splice(report, text or ["[]"])
     else:
         print(header)
     sys.stdout.writelines(text)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     DEFAULT_STATE_LIMIT, RegulatoryGraph, TernaryState, _state_values, apply_clamps, step,
@@ -25,8 +24,7 @@ from .core import (
 from .errors import StateSpaceLimitError, StepBudgetError
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """A simulated run split at the first recurrence: transient, then cycle."""
 
     transient: tuple
@@ -44,8 +42,7 @@ class Trajectory:
         return Attractor.from_cycle(self.cycle)
 
 
-@dataclass(frozen=True)
-class Attractor:
+class Attractor(NamedTuple):
     """A cycle of the step function, stored in successor order.
 
     The tuple starts at the canonically least state, so equal cycles compare

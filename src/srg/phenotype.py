@@ -12,16 +12,12 @@ The exhaustive oracle that both are tested against walks the pinned graph.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import RegulatoryGraph, TernaryState, _state_values
 from .dynamics import DEFAULT_STATE_LIMIT, Attractor, _attractors, _cycle_codes, simulate
 from .errors import SRGError
-
-log = logging.getLogger(__name__)
 
 MODE_PATHS = "paths"
 MODE_LITERAL = "literal"
@@ -60,8 +56,7 @@ class Phenotype:
         return f"Phenotype({body})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One reason a phenotype is unrealizable, with its witnessing path.
 
     rule "a" or "b" names the condition of the decision mode that failed;
@@ -76,23 +71,20 @@ class Violation:
     inhibition_edge: tuple | None = None
 
 
-@dataclass(frozen=True)
-class PhenotypeDecision:
+class PhenotypeDecision(NamedTuple):
     admissible: bool
     mode: str
     violations: tuple
 
 
-@dataclass(frozen=True)
-class WitnessMarking:
+class WitnessMarking(NamedTuple):
     """Vertex values forced by backward closure from the phenotype."""
 
     marked: Mapping[str, int]
     conflict: str | None = None
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     admissible: bool
     marking: WitnessMarking
     start: TernaryState | None = None
@@ -220,7 +212,9 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
     )
     if mode == MODE_LITERAL and decision.admissible:
         if not decide_phenotype(graph, phenotype, MODE_PATHS).admissible:
-            log.warning(
+            import logging  # here, not at the top: only this rare warning needs it
+
+            logging.getLogger(__name__).warning(
                 "%r passes the predecessor-only check but fails the path-based one",
                 phenotype,
             )

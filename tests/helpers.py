@@ -254,13 +254,20 @@ def random_phenotype(rng, graph, max_targets=None):
 
 SRG_SRC = os.path.dirname(os.path.dirname(os.path.abspath(srg.__file__)))
 
+# Standard-library modules that srg loads only where it uses them: none
+# builds a result record, and `logging` only issues the literal-versus-paths
+# warning.
+LAZY_STDLIB = {"dataclasses", "logging"}
+
 # One `srg` call; then, as the last line of stdout, whether numpy is loaded
-# and the srg modules that are.
+# and the srg and `LAZY_STDLIB` modules that are.
 _MODULE_PROBE = "\n".join([
     "import sys",
     "from srg.cli import main",
     "code = main(sys.argv[1:])",
-    "print('numpy' in sys.modules, *sorted(m for m in sys.modules if m.split('.')[0] == 'srg'))",
+    f"lazy = {sorted(LAZY_STDLIB)!r}",
+    "print('numpy' in sys.modules,",
+    "      *sorted(m for m in sys.modules if m.split('.')[0] == 'srg' or m in lazy))",
     "sys.exit(code)",
 ])
 
@@ -274,8 +281,8 @@ def run_python(*args):
 
 
 def run_srg_fresh(*argv):
-    """(exit code, stdout, stderr, numpy loaded, set of srg modules loaded) of
-    one `srg` call in a fresh interpreter."""
+    """(exit code, stdout, stderr, numpy loaded, set of the srg and
+    `LAZY_STDLIB` modules loaded) of one `srg` call in a fresh interpreter."""
     proc = run_python("-c", _MODULE_PROBE, *argv)
     lines = proc.stdout.splitlines(keepends=True)
     assert lines, proc.stderr

@@ -13,10 +13,11 @@ import tracemalloc
 import pytest
 
 from srg import (
-    RegulatoryGraph, enumerate_attractors, load_example, parse_network, serialize_network,
+    RegulatoryGraph, enumerate_attractors, load_example, parse_network, parse_state,
+    serialize_network, step,
 )
 from srg.cli import build_parser, main
-from srg.netio import analysis_report, attractor_json, render_report
+from srg.netio import analysis_report, attractor_json, render_report, state_json
 
 from helpers import (
     SRG_SRC,
@@ -98,9 +99,8 @@ class TestStepAndSimulate:
         assert peak < 2 ** 20
 
     def test_step_json_is_written_in_chunks(self):
-        # The report holds a list per state, about 150 bytes, but `_emit`
-        # writes its text a few thousand chunks at a time: rendering it as
-        # one string peaked at 783 bytes a state.
+        # Rendering the report as one string peaked at 783 bytes a state,
+        # and writing it from a list per state at about 150.
         argv = ["step", "mapk", "(-1,1,1,0,-1,1,0)", "-n", "20000", "--json"]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
@@ -110,6 +110,30 @@ class TestStepAndSimulate:
             finally:
                 tracemalloc.stop()
         assert peak < 250 * 20000
+
+    @pytest.mark.parametrize("name, start", [("fig1b", "(1,-1,1)"), ("mapk", "(-1,1,1,0,-1,1,0)")])
+    def test_step_json_equals_the_report_built_from_a_list(self, capsys, name, start):
+        graph = load_example(name)
+        states = [parse_state(start, graph)]
+        for _ in range(12):
+            states.append(step(graph, states[-1]))
+        result = {"start": state_json(states[0]), "states": list(map(state_json, states[1:]))}
+        code, out, _ = run(capsys, "step", name, start, "-n", "12", "--json")
+        assert (code, out) == (0, render_report(analysis_report("step", graph, result)))
+
+    def test_step_json_peak_does_not_grow_with_the_steps(self):
+        # Each state's JSON is spliced into the report as it is stepped.
+        peaks = []
+        for steps in ("1", "2000", "40000"):  # the first call only imports what it runs
+            argv = ["step", "mapk", "(-1,1,1,0,-1,1,0)", "-n", steps, "--json"]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[2] < peaks[1] + 2 ** 16
 
     def test_simulate_text(self, capsys):
         code, out, _ = run(capsys, "simulate", "fig1b", "(1,-1,1)")

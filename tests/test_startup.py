@@ -17,14 +17,18 @@ the space (`build_sts` alone lays the space out and imports nothing), so
 phenotype decision, a witness, the graph and its encoding start without
 numpy, and so does a space that `_free_strides` refuses, over `--limit` or
 past 3^32 states, and an oracle whose target is clamped the other way;
-`test_cli.py` checks the refusals' output.  Each check
-runs in a fresh interpreter, since an imported module stays in
-`sys.modules`.
+`test_cli.py` checks the refusals' output.
+
+No call loads `dataclasses`, whose import pulls in `inspect`, `ast`, `dis`
+and `tokenize`: the result records are `typing.NamedTuple`s, and `srg.core`
+imports `typing` already.  A call loads `logging` only to issue the
+literal-versus-paths warning.  Each check runs in a fresh interpreter,
+since an imported module stays in `sys.modules`.
 """
 
 import pytest
 
-from helpers import run_python, run_srg_fresh
+from helpers import LAZY_STDLIB, run_python, run_srg_fresh
 
 CLI = {"srg", "srg.cli", "srg.core", "srg.errors", "srg.netio"}
 DYNAMICS = CLI | {"srg.dynamics"}
@@ -72,8 +76,9 @@ def test_space_past_any_array_is_refused_before_numpy_loads(tmp_path, command):
     names = [f"v{i}" for i in range(40)]
     path = tmp_path / "chain40.srg"
     path.write_text("".join(f"{u} -> {v}\n" for u, v in zip(names, names[1:])))
-    got = run_srg_fresh(command, str(path), "--limit", str(3 ** 45))[:4]
-    assert got == (3, "", "srg: out of memory; try a smaller network or a lower --limit\n", False)
+    *got, loaded = run_srg_fresh(command, str(path), "--limit", str(3 ** 45))
+    assert got == [3, "", "srg: out of memory; try a smaller network or a lower --limit\n", False]
+    assert loaded & LAZY_STDLIB == set()
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -87,6 +92,19 @@ def test_space_past_any_array_is_refused_before_numpy_loads(tmp_path, command):
 def test_enumerating_calls_load_numpy(argv, modules):
     code, _, _, numpy_loaded, loaded = run_srg_fresh(*argv)
     assert (code, numpy_loaded, loaded) == (0, True, modules)
+
+
+@pytest.mark.parametrize("mode, code, lazy", [
+    ("literal", 0, {"logging"}), ("paths", 1, set()), ("oracle", 1, set()),
+], ids=["literal", "paths", "oracle"])
+def test_logging_loads_only_to_warn(tmp_path, mode, code, lazy):
+    # w activates u and u inhibits v: w=1,v=1 passes the literal check only,
+    # and the literal decision warns that the path-based one fails.
+    path = tmp_path / "divergence.srg"
+    path.write_text("w -> u\nu -| v\n")
+    argv = ("phenotype", "check", str(path), "--target", "w=1,v=1", "--mode", mode)
+    got, _, err, _, loaded = run_srg_fresh(*argv)
+    assert (got, "path-based" in err, loaded & LAZY_STDLIB) == (code, bool(lazy), lazy)
 
 
 def test_transition_system_loads_numpy_only_when_its_blocks_are_read():
