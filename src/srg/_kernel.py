@@ -16,7 +16,8 @@ leading ones as scalars; a move is summed again only in the slabs that
 change a leading digit up to the last one it reads.  `sts` renders each
 slab as it is stepped, its labels split at the same 3^9 digit; enumeration
 marks the slabs in an image mask, one byte a state, steps only the image
-again, finds the cycles on that compact map and decodes only their states.
+again, finds the cycles on that compact map (`_cycles`, the walk's one
+entry) and decodes only their states.
 
 The kernel also writes codes as text, for `sts` and `attractors`: code c's
 label is heads[c // w] + tails[c % w], from two short tables of label
@@ -31,6 +32,7 @@ import functools
 import itertools
 import operator
 import random
+from array import array
 
 import numpy as np
 
@@ -171,6 +173,39 @@ def _peel(succ):
     return live.astype(succ.dtype, copy=False), rounds
 
 
+def _cycles(graph, pinned, strides):
+    """(codes, ends) of `dynamics._cycle_codes`: the cycles of `pinned`'s step
+    over the codes of `strides` that `graph`'s step keeps.
+
+    The cycle states of the compact map are walked in ascending order, each
+    visit marked in a bytearray; beside the image mask and the compact map,
+    only the codes and ends take memory, 4 bytes each below 2^31 states and
+    8 above.  `graph` keeps a cycle if each vertex pinned only in `pinned`
+    moves to its pin at every state: checked only when one is, so an
+    unpinned walk keeps its `array` ends.
+    """
+    live, pos = _compact_map(pinned, strides)
+    seen, succ, kind = bytearray(len(live)), memoryview(pos), "iq"[live.itemsize > 4]
+    order, ends = array(kind), array(kind)
+    for k in memoryview(_peel(pos)[0]):
+        if not seen[k]:
+            while not seen[k]:
+                seen[k] = 1
+                order.append(k)
+                k = succ[k]
+            ends.append(len(order))
+    codes, loose = live[order], pinned.clamps.keys() - graph.clamps.keys()
+    if not loose:
+        return codes, ends
+    ok = np.ones(len(codes), dtype=bool)
+    for i in loose:
+        reads = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
+        ok &= _moves(graph, _columns(pinned, strides, codes, reads), i)[pinned.clamps[i] == -1]
+    periods = np.diff(ends, prepend=0)
+    keep = np.logical_and.reduceat(ok, np.cumsum(periods) - periods)
+    return codes[np.repeat(keep, periods)], np.cumsum(periods[keep])
+
+
 def _columns(graph, strides, codes, reads=None):
     """The values of `codes` per vertex: each clamp as a scalar, and an int8
     column, from the codes' digits in their own dtype, for each free vertex
@@ -234,8 +269,8 @@ def _transition_text(graph, strides, blocks, dot):
 
 def _cycle_text(graph, strides, codes, ends, as_json):
     """The attractor blocks of `srg attractors`, or with `as_json` the array
-    of its "attractors" key as `json.dumps(indent=2)` nests it, from the
-    `codes` and `ends` of `dynamics._cycle_codes`.
+    of its "attractors" key as `json.dumps(indent=2)` nests it, from a
+    `dynamics._cycle_codes` walk of `graph`, pinned or not.
 
     Yielded in batches of whole cycles, about 3^8 states each: a batch is
     one join over the rows of a (states, 4) object array, a state's opener
@@ -270,18 +305,6 @@ def _cycle_text(graph, strides, codes, ends, as_json):
         j = k
     if as_json:
         yield "\n    ]"
-
-
-def _closed_cycles(graph, pinned, strides, codes, ends):
-    """(codes, ends): the cycles of a `dynamics._cycle_codes` walk of `pinned` that `graph`'s
-    step keeps, at every state of which each vertex pinned only in `pinned` moves to its pin."""
-    ok = np.ones(len(codes), dtype=bool)
-    for i in pinned.clamps.keys() - graph.clamps.keys():
-        reads = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
-        ok &= _moves(graph, _columns(pinned, strides, codes, reads), i)[pinned.clamps[i] == -1]
-    periods = np.diff(ends, prepend=0)
-    keep = np.logical_and.reduceat(ok, np.cumsum(periods) - periods)
-    return codes[np.repeat(keep, periods)], np.cumsum(periods[keep])
 
 
 def _evaluate(rule, bits):

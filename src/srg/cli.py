@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -53,15 +52,6 @@ def _load_network(source: str):
     if source in EXAMPLE_NETWORKS:
         return load_example(source)
     raise ParseError(f"no such network file or bundled example: {source!r}")
-
-
-def _emit(report):
-    """Write `render_report(report)` to stdout a few thousand chunks at a time:
-    one write per chunk is slow, and one join holds the whole text."""
-    chunks = json.JSONEncoder(indent=2).iterencode(report)
-    while batch := list(itertools.islice(chunks, 4096)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
 
 
 def _splice(report, array):
@@ -109,7 +99,8 @@ def _cmd_simulate(graph, args):
     state = parse_state(args.state, graph)
     trajectory = simulate(graph, state, max_steps=args.max_steps)
     if args.json:
-        _emit(analysis_report("simulate", graph, trajectory_json(trajectory)))
+        report = analysis_report("simulate", graph, trajectory_json(trajectory))
+        sys.stdout.write(render_report(report))
         return EXIT_OK
     _print_states("transient:", trajectory.transient)
     _print_states(f"cycle (period {trajectory.period}):", trajectory.cycle)
@@ -117,8 +108,8 @@ def _cmd_simulate(graph, args):
 
 
 def _write_cycles(header, report, walk, as_json):
-    """Write `header` and the blocks of a walk, `(graph, *dynamics._cycle_codes(graph))`,
-    or `report` with them as its last key's array; no cycles keep its `[]` and exit 1."""
+    """Write `header` and the blocks of a `dynamics._cycle_codes` walk, or `report`
+    with them as its last key's array; no cycles keep its `[]` and exit 1."""
     text = []
     if len(walk[-1]):
         from ._kernel import _cycle_text  # only past the refusals: it loads numpy
@@ -134,7 +125,7 @@ def _write_cycles(header, report, walk, as_json):
 def _cmd_attractors(graph, args):
     from .dynamics import _cycle_codes
 
-    walk = (graph, *_cycle_codes(graph, state_limit=args.limit))
+    walk = _cycle_codes(graph, state_limit=args.limit)
     report = analysis_report("attractors", graph, {"count": len(walk[-1]), "attractors": []})
     return _write_cycles(f"{len(walk[-1])} attractors", report, walk, args.json)
 
@@ -158,17 +149,19 @@ def _cmd_graph(graph, args):
 
 
 def _cmd_phenotype_check(graph, args):
-    from .phenotype import _matching_cycles, decide_phenotype
+    from .dynamics import _cycle_codes
+    from .phenotype import decide_phenotype
 
     phenotype = parse_phenotype(args.target)
     if args.mode == "oracle":
-        walk = _matching_cycles(graph, phenotype, args.limit)
+        walk = _cycle_codes(graph, args.limit, phenotype.assignment)
         result = {"mode": "oracle", "admissible": len(walk[-1]) > 0, "attractors": []}
         report = analysis_report("phenotype-check", graph, result)
         return _write_cycles(f"{len(walk[-1])} matching attractors", report, walk, args.json)
     decision = decide_phenotype(graph, phenotype, mode=args.mode)
     if args.json:
-        _emit(analysis_report("phenotype-check", graph, decision_json(decision)))
+        report = analysis_report("phenotype-check", graph, decision_json(decision))
+        sys.stdout.write(render_report(report))
         return EXIT_OK if decision.admissible else EXIT_EMPTY
     print("admissible" if decision.admissible else "inadmissible")
     for v in decision.violations:
@@ -187,7 +180,8 @@ def _cmd_phenotype_witness(graph, args):
     phenotype = parse_phenotype(args.target)
     witness = phenotype_witness(graph, phenotype, completion=_COMPLETIONS[args.completion])
     if args.json:
-        _emit(analysis_report("phenotype-witness", graph, witness_json(witness)))
+        report = analysis_report("phenotype-witness", graph, witness_json(witness))
+        sys.stdout.write(render_report(report))
         return EXIT_OK if witness.admissible else EXIT_EMPTY
     if not witness.admissible:
         print(f"inadmissible: marking conflict at {witness.marking.conflict}")
@@ -219,7 +213,8 @@ def _cmd_verify_bn(graph, args):
         graph, samples=args.samples, state_limit=args.limit, seed=args.seed
     )
     if args.json:
-        _emit(analysis_report("verify-bn", graph, equivalence_json(report)))
+        envelope = analysis_report("verify-bn", graph, equivalence_json(report))
+        sys.stdout.write(render_report(envelope))
         return EXIT_OK if report.ok else EXIT_EMPTY
     if report.ok:
         print(f"ok: {report.states_checked} states agree, no invalid codes")

@@ -5,17 +5,17 @@ has exactly one successor, so the attractors are exactly the cycles.
 `_free_strides` lays out the clamp-consistent space, a code digit per free
 vertex, and refuses it over the state limit or past 3^32 states; only then
 is the numpy code kernel in `srg._kernel` imported, which steps the codes
-and finds the states on cycles.  `_cycle_codes` walks those in ascending
-code order, marking visits in a bytearray, so each attractor starts at its
-least state and the list comes out sorted, as codes: `srg attractors` and
-the phenotype oracle render them in bulk (`srg._kernel._cycle_text`);
-`enumerate_attractors` and the library's oracle decode them (`_attractors`).
+and finds the states on cycles.  `_cycle_codes`, with some vertices pinned
+or none, walks those in ascending code order (`srg._kernel._cycles`), so
+each attractor starts at its least state and the list comes out sorted, as
+codes: `srg attractors` and the phenotype oracle render them in bulk
+(`srg._kernel._cycle_text`); `enumerate_attractors` and the library's
+oracle decode them (`_attractors`).
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -139,31 +139,23 @@ def _checked_state(graph, state) -> TernaryState:
     return st
 
 
-def _cycle_codes(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
-    """(strides, codes, ends): the states of every attractor as codes.
+def _cycle_codes(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT, pins=None):
+    """(pinned, strides, codes, ends): the attractors of `graph` where `pins`,
+    a mapping of vertices to -1 or 1, hold, as codes of `pinned`, `graph`
+    with the pins clamped; `state_limit` counts those states.
 
     Cycle j holds codes[ends[j - 1]:ends[j]] (from 0 for j = 0), in
     successor order from its least code, and the cycles come in ascending
-    order of that code, which is the order of `enumerate_attractors`.  The
-    cycle states of the compact map are walked in ascending order, each
-    visit marked in a bytearray; beside the image mask and the compact
-    map, only the codes and ends take memory, a code a cycle state and an
-    end a cycle, 4 bytes each below 2^31 states and 8 above.
+    order of that code, which is the order of `enumerate_attractors`.  A pin
+    on a vertex clamped the other way gives `(graph, [], [], [])`: no walk.
     """
-    strides = _free_strides(graph, state_limit)
-    from ._kernel import _compact_map, _peel
+    pinned = graph.with_clamps(pins or {})
+    if any(pinned.clamps[i] != v for i, v in graph.clamps.items()):
+        return graph, [], [], []
+    strides = _free_strides(pinned, state_limit)
+    from ._kernel import _cycles
 
-    live, pos = _compact_map(graph, strides)
-    seen, succ, kind = bytearray(len(live)), memoryview(pos), "iq"[live.itemsize > 4]
-    order, ends = array(kind), array(kind)
-    for k in memoryview(_peel(pos)[0]):
-        if not seen[k]:
-            while not seen[k]:
-                seen[k] = 1
-                order.append(k)
-                k = succ[k]
-            ends.append(len(order))
-    return strides, live[order], ends
+    return pinned, strides, *_cycles(graph, pinned, strides)
 
 
 def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT):
@@ -175,11 +167,13 @@ def enumerate_attractors(graph: RegulatoryGraph, state_limit=DEFAULT_STATE_LIMIT
     Only the image mask spans the space, one byte a state; the cycles come
     from `_cycle_codes`, the walk the `attractors` command renders from.
     """
-    return _attractors(graph, *_cycle_codes(graph, state_limit))
+    return _attractors(*_cycle_codes(graph, state_limit))
 
 
 def _attractors(graph, strides, codes, ends):
-    """The cycles of a `_cycle_codes` walk of `graph` as `Attractor`s."""
+    """The cycles of a `_cycle_codes` walk of `graph` as `Attractor`s; no numpy for none."""
+    if not len(ends):
+        return []
     from ._kernel import _decode
 
     states = list(map(TernaryState, _decode(graph, strides, codes).tolist()))

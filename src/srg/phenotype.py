@@ -7,7 +7,8 @@ predecessor-only one kept as a diagnostic.  The constructive side builds a
 witness attractor by freezing every vertex that the phenotype forces to -1
 and simulating from there.  Both reduce the clamps away first: a clamp
 overwrites its vertex's rule, so the edges into a clamped vertex never matter.
-The exhaustive oracle that both are tested against walks the pinned graph.
+The exhaustive oracle that both are tested against pins the targets in one
+walk of `dynamics._cycle_codes`, which drops the cycles only the pins hold.
 """
 
 from __future__ import annotations
@@ -270,22 +271,7 @@ def phenotype_witness(graph: RegulatoryGraph, phenotype: Phenotype, completion=-
     return Witness(admissible=True, marking=marking, start=start, attractor=attractor)
 
 
-def _matching_cycles(graph, phenotype, state_limit):
-    """`(pinned, strides, codes, ends)`: the `_cycle_codes` walk of `graph` with the
-    targets pinned, over the states S where they hold (`state_limit` counts S), less
-    the cycles that `graph`'s step leaves: `graph`'s cycles in S are the pinned ones it
-    keeps.  A target clamped the other way gives `(graph, [], [], [])`, with no walk."""
-    required = _resolve_targets(graph, phenotype)
-    if any(graph.clamps.get(i, v) != v for i, v in required.items()):
-        return graph, [], [], []
-    pinned = graph.with_clamps(required)
-    strides, codes, ends = _cycle_codes(pinned, state_limit)
-    from ._kernel import _closed_cycles
-    return pinned, strides, *_closed_cycles(graph, pinned, strides, codes, ends)
-
-
 def attractors_with_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, state_limit=DEFAULT_STATE_LIMIT):
     """Exhaustive oracle: the attractors whose every state matches `phenotype`,
     sorted; `state_limit` counts the states where the targets hold."""
-    walk = _matching_cycles(graph, phenotype, state_limit)
-    return _attractors(*walk) if len(walk[-1]) else []
+    return _attractors(*_cycle_codes(graph, state_limit, phenotype.assignment))

@@ -368,14 +368,14 @@ class TestKernel:
         graph = RegulatoryGraph(names, [(v, v) for v in names])
         tracemalloc.start()
         try:
-            _, codes, ends = _cycle_codes(graph)
+            _, _, codes, ends = _cycle_codes(graph)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (codes.itemsize, ends.itemsize, len(ends)) == (4, 4, 3 ** 10)
         assert peak < 24 * 3 ** 10 and kept < 10 * 3 ** 10
         monkeypatch.setattr("srg._kernel._code_dtype", lambda size: np.int64)
-        _, wide, wide_ends = _cycle_codes(graph)
+        _, _, wide, wide_ends = _cycle_codes(graph)
         assert (wide.itemsize, wide_ends.itemsize) == (8, 8)
         assert (wide.tolist(), wide_ends.tolist()) == (codes.tolist(), ends.tolist())
 

@@ -49,11 +49,15 @@ MUTANTS = {
     # the label heads one vertex short of the slab's leading digits
     "label-split": ("_kernel", "_labels", "split = lead[-1][0] + 1", "split = lead[-1][0]"),
     # every cycle started at the successor of its least state
-    "cycle-start": ("dynamics", "_cycle_codes", "            while not seen[k]:",
+    "cycle-start": ("_kernel", "_cycles", "            while not seen[k]:",
                     "            k = succ[k]\n            while not seen[k]:"),
     # the oracle's closure check reading a target pinned at 1 as pinned at -1
-    "closure-sign": ("_kernel", "_closed_cycles", "[pinned.clamps[i] == -1]",
+    "closure-sign": ("_kernel", "_cycles", "[pinned.clamps[i] == -1]",
                      "[pinned.clamps[i] == 1]"),
+    # a target clamped the other way walked as if its pin overrode the clamp
+    "pin-over-clamp": ("dynamics", "_cycle_codes",
+                       "    if any(pinned.clamps[i] != v for i, v in graph.clamps.items()):\n"
+                       "        return graph, [], [], []\n", ""),
 }
 
 

@@ -16,8 +16,8 @@ the space (`build_sts` alone lays the space out and imports nothing), so
 `sts` loads numpy only as it renders; a step, a trajectory, a
 phenotype decision, a witness, the graph and its encoding start without
 numpy, and so does a space that `_free_strides` refuses, over `--limit` or
-past 3^32 states, and an oracle whose target is clamped the other way;
-`test_cli.py` checks the refusals' output.
+past 3^32 states, and an oracle whose target is clamped the other way,
+in the command and the library; `test_cli.py` checks the refusals' output.
 
 No call loads `dataclasses`, whose import pulls in `inspect`, `ast`, `dis`
 and `tokenize`: the result records are `typing.NamedTuple`s, and `srg.core`
@@ -117,3 +117,13 @@ def test_transition_system_loads_numpy_only_when_its_blocks_are_read():
         "print(len(codes[0]), 'numpy' in sys.modules)",
     ]))
     assert (proc.returncode, proc.stdout) == (0, "27 False\n27 True\n"), proc.stderr
+
+
+def test_oracle_with_a_target_clamped_the_other_way_loads_no_numpy():
+    proc = run_python("-c", "\n".join([
+        "import sys",
+        "from srg import Phenotype, attractors_with_phenotype, load_example",
+        "found = attractors_with_phenotype(load_example('mapk'), Phenotype({'RTK': 1}))",
+        "print(found, 'numpy' in sys.modules)",
+    ]))
+    assert (proc.returncode, proc.stdout) == (0, "[] False\n"), proc.stderr
