@@ -4,11 +4,15 @@ Exit codes: 0 success (or admissible / non-empty result), 1 inadmissible
 or empty result, 2 usage or parse error, 3 state-space limit refusal or
 out of memory, 130 (128 + SIGINT) when interrupted with Ctrl-C, 141
 (128 + SIGPIPE) when the reader of stdout closed the pipe.
+
+`main` freezes the garbage collector as it returns, so the exit collection
+skips every object the call made; an in-process caller's objects freeze too.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -325,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one `srg` command and return its exit code.  Every exit, argparse's
+    too, runs `gc.freeze()`: the caller's objects stay uncollected until `gc.unfreeze()`."""
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "limit", 1) < 1:  # every command with --limit, before it reads a file
             raise ValueError("--limit must be positive")
         code = args.func(_load_network(args.network), args)
@@ -351,6 +357,8 @@ def main(argv=None) -> int:
     except (SRGError, ValueError, OSError) as exc:
         print(f"srg: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

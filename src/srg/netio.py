@@ -15,7 +15,6 @@ by every state literal.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import TYPE_CHECKING
 
@@ -275,6 +274,8 @@ def analysis_report(command: str, graph: RegulatoryGraph, result: dict) -> dict:
 
 
 def render_report(report: dict) -> str:
+    import json  # only the --json calls load it
+
     return json.dumps(report, indent=2) + "\n"
 
 

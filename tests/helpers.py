@@ -255,9 +255,9 @@ def random_phenotype(rng, graph, max_targets=None):
 SRG_SRC = os.path.dirname(os.path.dirname(os.path.abspath(srg.__file__)))
 
 # Standard-library modules that srg loads only where it uses them: none
-# builds a result record, and `logging` only issues the literal-versus-paths
-# warning.
-LAZY_STDLIB = {"dataclasses", "logging"}
+# builds a result record, `logging` only issues the literal-versus-paths
+# warning, and `json` only renders a --json report.
+LAZY_STDLIB = {"dataclasses", "json", "logging"}
 
 # One `srg` call; then, as the last line of stdout, whether numpy is loaded
 # and the srg and `LAZY_STDLIB` modules that are.

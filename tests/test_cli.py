@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import random
@@ -24,6 +25,7 @@ from helpers import (
     random_graph,
     reference_attractors,
     reference_sts,
+    run_python,
     run_srg_fresh,
     scalar_successor_table,
     scalar_walk,
@@ -598,6 +600,54 @@ def test_closed_stdout_pipe_exits_141_quietly(argv):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# One `srg` call in the form of the installed script; at exit, after every
+# atexit handler registered later, it writes `gc.get_freeze_count()` to the
+# file named by its first argument.
+_FREEZE_PROBE = "\n".join([
+    "import atexit, gc, sys",
+    "atexit.register(lambda: open(sys.argv[1], 'w').write(str(gc.get_freeze_count())))",
+    "from srg.cli import main",
+    "sys.exit(main(sys.argv[2:]))",
+])
+
+
+def _call_in_process(capsys, argv):
+    """`run`, argparse's exits included."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("attractors", "fig1a"), 0),
+    (("phenotype", "check", "fig1a", "--target", "A=1,B=-1"), 1),
+    (("attractors", "fig1a", "--limit", "0"), 2),
+    (("frobnicate",), 2),
+    (("--help",), 0),
+    (("attractors", "mapk", "--limit", "1"), 3),
+], ids=["ok", "empty", "usage", "argparse-usage", "help", "limit"])
+def test_every_exit_freezes_the_collector_and_changes_no_output(
+        capsys, monkeypatch, tmp_path, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the same width in both
+    frozen = tmp_path / "frozen"
+    proc = run_python("-c", _FREEZE_PROBE, str(frozen), *argv)
+    assert int(frozen.read_text()) > 0
+    # The same call here with the freeze taken out: the freeze moves no byte.
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _call_in_process(capsys, argv)
+    assert proc.returncode == code
+
+
+def test_two_calls_in_one_process_answer_alike(capsys):
+    argv = ["phenotype", "check", "mapk", "--target", "FOXO3=-1,AKT=1", "--mode", "oracle"]
+    first = _call_in_process(capsys, argv)
+    code, out, err = first
+    assert (code, out.startswith("15 matching attractors\n"), err) == (0, True, "")
+    # The first call froze what it left live, this test's objects included.
+    assert _call_in_process(capsys, argv) == first
 
 
 def _readme_block(section):

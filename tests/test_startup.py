@@ -22,7 +22,8 @@ in the command and the library; `test_cli.py` checks the refusals' output.
 No call loads `dataclasses`, whose import pulls in `inspect`, `ast`, `dis`
 and `tokenize`: the result records are `typing.NamedTuple`s, and `srg.core`
 imports `typing` already.  A call loads `logging` only to issue the
-literal-versus-paths warning.  Each check runs in a fresh interpreter,
+literal-versus-paths warning, and `json` only to render a `--json` report,
+so the text calls start without it.  Each check runs in a fresh interpreter,
 since an imported module stays in `sys.modules`.
 """
 
@@ -36,6 +37,7 @@ PHENOTYPE = DYNAMICS | {"srg.phenotype"}
 BOOLENC = DYNAMICS | {"srg.boolenc"}
 KERNEL = DYNAMICS | {"srg._kernel"}
 LOADED_BY = {"import srg": {"srg"}, "import srg.cli": CLI}
+JSON = {"json"}  # loaded only to render a --json report
 
 
 @pytest.mark.parametrize("statement", ["import srg.cli", "import srg"])
@@ -51,18 +53,18 @@ def test_import_loads_no_numpy(statement):
 
 @pytest.mark.parametrize("argv, code, modules", [
     (("step", "fig1a", "(-1,1,1)", "-n", "3"), 0, CLI),
-    (("simulate", "mapk", "(-1,-1,-1,-1,1,1,-1)", "--json"), 0, DYNAMICS),
+    (("simulate", "mapk", "(-1,-1,-1,-1,1,1,-1)", "--json"), 0, DYNAMICS | JSON),
     (("graph", "mapk"), 0, CLI),
     (("graph", "fig1a", "--dot"), 0, CLI),
     (("encode-bn", "mapk"), 0, BOOLENC),
     (("phenotype", "check", "fig1a", "--target", "A=1,B=-1"), 1, PHENOTYPE),
     (("phenotype", "check", "fig1b", "--target", "A=1,B=1", "--mode", "literal"), 0, PHENOTYPE),
-    (("phenotype", "witness", "fig1b", "--target", "A=1", "--json"), 0, PHENOTYPE),
+    (("phenotype", "witness", "fig1b", "--target", "A=1", "--json"), 0, PHENOTYPE | JSON),
     (("phenotype", "check", "mapk", "--target", "AKT=1"), 0, PHENOTYPE),
     (("phenotype", "witness", "mapk", "--target", "AKT=1"), 0, PHENOTYPE),
     # a target clamped the other way: the oracle answers with no walk
     (("phenotype", "check", "mapk", "--target", "RTK=1", "--mode", "oracle", "--json"), 1,
-     PHENOTYPE),
+     PHENOTYPE | JSON),
 ], ids=["step", "simulate", "graph", "graph-dot", "encode-bn", "paths", "literal", "witness",
         "paths-clamped", "witness-clamped", "oracle-clamp-conflict"])
 def test_calls_that_never_enumerate_load_no_numpy(argv, code, modules):
