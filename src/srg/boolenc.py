@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import RegulatoryGraph, TernaryState, step
-from .dynamics import DEFAULT_STATE_LIMIT, _free_strides
+from .core import DEFAULT_STATE_LIMIT, RegulatoryGraph, TernaryState, step
 from .errors import InvalidCodeError
 
 
@@ -174,6 +173,7 @@ def check_simulation_equivalence(
     """
     # Refuse before encoding the network or loading the kernel.
     if samples is None:
+        from .dynamics import _free_strides
         strides = _free_strides(graph, state_limit)
     elif samples < 1:
         raise ValueError("samples must be positive")

@@ -5,13 +5,14 @@ or empty result, 2 usage or parse error, 3 state-space limit refusal or
 out of memory, 130 (128 + SIGINT) when interrupted with Ctrl-C, 141
 (128 + SIGPIPE) when the reader of stdout closed the pipe.
 
-`main` freezes the garbage collector as it returns, so the exit collection
-skips every object the call made; an in-process caller's objects freeze too.
+`main` registers `gc.freeze` as an exit handler, once per process. Exit
+handlers run before the final collection, which then skips what the call made.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import itertools
 import os
@@ -329,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one `srg` command and return its exit code.  Every exit, argparse's
-    too, runs `gc.freeze()`: the caller's objects stay uncollected until `gc.unfreeze()`."""
+    """Run one `srg` command and return its exit code."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "limit", 1) < 1:  # every command with --limit, before it reads a file
@@ -357,8 +359,6 @@ def main(argv=None) -> int:
     except (SRGError, ValueError, OSError) as exc:
         print(f"srg: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        gc.freeze()
 
 
 if __name__ == "__main__":

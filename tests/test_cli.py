@@ -621,7 +621,7 @@ def _call_in_process(capsys, argv):
         return (exc.code, *capsys.readouterr())
 
 
-@pytest.mark.parametrize("argv, code", [
+EVERY_EXIT = pytest.mark.parametrize("argv, code", [
     (("attractors", "fig1a"), 0),
     (("phenotype", "check", "fig1a", "--target", "A=1,B=-1"), 1),
     (("attractors", "fig1a", "--limit", "0"), 2),
@@ -629,6 +629,9 @@ def _call_in_process(capsys, argv):
     (("--help",), 0),
     (("attractors", "mapk", "--limit", "1"), 3),
 ], ids=["ok", "empty", "usage", "argparse-usage", "help", "limit"])
+
+
+@EVERY_EXIT
 def test_every_exit_freezes_the_collector_and_changes_no_output(
         capsys, monkeypatch, tmp_path, argv, code):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the same width in both
@@ -641,12 +644,34 @@ def test_every_exit_freezes_the_collector_and_changes_no_output(
     assert proc.returncode == code
 
 
+@EVERY_EXIT
+def test_no_exit_freezes_the_collector_of_an_in_process_caller(capsys, argv, code):
+    frozen = gc.get_freeze_count()
+    assert _call_in_process(capsys, argv)[0] == code
+    assert gc.get_freeze_count() == frozen
+
+
+def test_calls_in_one_process_register_one_exit_handler():
+    # `atexit._ncallbacks()` counts the slots that `atexit.unregister` empties too,
+    # so the probe counts the freezes instead, from a handler that runs after main's.
+    probe = "\n".join([
+        "import atexit, gc",
+        "freezes = []",
+        "atexit.register(lambda: print('freezes:', len(freezes)))",
+        "gc.freeze = lambda: freezes.append(1)",
+        "from srg.cli import main",
+        "print(*[main(['graph', 'fig1a']) for _ in range(3)])",
+    ])
+    proc = run_python("-c", probe)
+    assert (proc.stdout.splitlines()[-2:], proc.stderr) == (["0 0 0", "freezes: 1"], "")
+
+
 def test_two_calls_in_one_process_answer_alike(capsys):
     argv = ["phenotype", "check", "mapk", "--target", "FOXO3=-1,AKT=1", "--mode", "oracle"]
     first = _call_in_process(capsys, argv)
     code, out, err = first
     assert (code, out.startswith("15 matching attractors\n"), err) == (0, True, "")
-    # The first call froze what it left live, this test's objects included.
+    # The first call leaves the collector as it found it; the second answers the same.
     assert _call_in_process(capsys, argv) == first
 
 
