@@ -12,18 +12,21 @@ C-order cells of a `(3,) * f` array over the f free vertices.  The kernel
 walks that array in slabs of 3^9 codes, the leading digits fixed: a free
 vertex's move, like its bit rules, reads only itself and a few other
 vertices, so both run over the slab axes of those vertices alone, with the
-leading ones as scalars; a move is summed again only in the slabs that
-change a leading digit up to the last one it reads.  `sts` renders each
-slab as it is stepped, its labels split at the same 3^9 digit; enumeration
-marks the slabs in an image mask, one byte a state, steps only the image
-again, finds the cycles on that compact map (`_cycles`, the walk's one
-entry) and decodes only their states.
+leading ones as scalars.  The moves are summed in layers, by the last
+leading digit they read, each layer into a table over its slab axes and
+its latest leading digits: a slab adds one table entry a layer, from the
+layer of the digit that changed on, and a table is summed again only when
+a leading digit it holds as a scalar changes.  `sts` renders each slab as
+it is stepped, its labels split at the same 3^9 digit; enumeration marks
+the slabs in an image mask, one byte a state, steps only the image again,
+finds the cycles on that compact map (`_cycles`, the walk's one entry) and
+decodes only their states.
 
 The kernel also writes codes as text, for `sts` and `attractors`: code c's
 label is heads[c // w] + tails[c % w], from two short tables of label
-pieces over the leading and the trailing vertices (`_labels`), and a slab
-of `sts` lines or a batch of attractors is one join over an object array
-of table entries and separators, with no string built per state.
+pieces over the leading and the trailing vertices (`_labels`), and 3^7
+`sts` lines or a batch of attractors are one join over an object array of
+table entries and separators, with no string built per state.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ def _moves(graph, columns, i):
     return up, down
 
 
-def _local_columns(graph, strides, support):
+def _local_columns(graph, strides, support, width=_TAIL_DIGITS):
     """(slices, columns) of the free vertices in `support` over a slab, which
-    fixes every free digit but the last 9 and spans those 9 axes.
+    fixes every free digit but the last `width` and spans those axes.
 
     `columns` holds the clamps and int8 copies, over their local shape, of
     the support on the slab axes, so that the masks need no strided
@@ -85,8 +88,8 @@ def _local_columns(graph, strides, support):
     each combination of the support's fixed vertices.
     """
     free = [i for i, _ in strides]
-    lead = [u for u in free[:-_TAIL_DIGITS] if u in support]
-    rest = [a for a in range(len(free))[-_TAIL_DIGITS:] if free[a] in support]
+    lead = [u for u in free[:-width] if u in support]
+    rest = [a for a in range(len(free))[-width:] if free[a] in support]
     digits = np.arange(-1, 2, dtype=np.int8)
     columns = dict(graph.clamps)
     for a in rest:
@@ -100,35 +103,62 @@ def _add_moves(graph, out, start, group, scalars):
     """Set `out` to `start` plus each (vertex, stride, columns) move of `group` times its stride."""
     out[...] = start
     for i, stride, columns in group:
-        up, down = _moves(graph, {**columns, **scalars}, i)
+        up, down = _moves(graph, {**scalars, **columns}, i)
         out += (up.view(np.int8) - down.view(np.int8)) * stride
 
 
 def _successor_slabs(graph, strides):
     """Per slab of 3^9 consecutive codes, in code order, the successor codes.
 
-    A move, times its vertex's stride, is summed by broadcasting in layer
-    k, k the last leading digit it reads (0 if none), onto the sum of the
-    layers before it from the all-ambiguous code.  A slab sums again only
-    the layers from that of the digit that changed, in buffers that every
-    slab reuses; an empty layer takes none.
+    A move, times its vertex's stride, is summed in layer k, k the last
+    leading digit it reads (0 if none), onto the sum of the layers before
+    it from the all-ambiguous code; a slab adds again only the layers from
+    that of the digit that changed, in buffers that every slab reuses.
+    Layer k > 0 sums its moves, each over its own axes, into a table over
+    the slab axes it reads and the latest of its leading digits that fit in
+    3^9 cells; its earlier digits are scalars, and the table is summed
+    again only when one of them changes, so that a slab adds one table
+    entry a layer.  Layer 0, added three times in all, and a layer whose
+    table cannot hold its last digit sum their moves in place instead.
     """
-    size = 3 ** len(strides)
-    dtype, lead = _code_dtype(size), [i for i, _ in strides[:-_TAIL_DIGITS]]
-    shared, layers = {}, {}
+    size, free = 3 ** len(strides), [i for i, _ in strides]
+    dtype, lead, slab = _code_dtype(size), free[:-_TAIL_DIGITS], free[-_TAIL_DIGITS:]
+    groups, shared, layers = {}, {}, []
     for i, stride in strides:
         support = {i, *graph.activation_in[i], *graph.inhibition_in[i]}
-        _, columns = _local_columns(graph, strides, support)
-        columns = shared.setdefault(frozenset(columns), columns)  # same slab axes, same columns
         last = max((k for k, u in enumerate(lead) if u in support), default=0)
-        layers.setdefault(last, []).append((i, dtype(stride), columns))
-    layers, shape = sorted(layers.items()), (3,) * (len(strides) - len(lead))
+        groups.setdefault(last, []).append((i, dtype(stride), support))
+    for k, group in sorted(groups.items()):
+        reads = set().union(*(support for _, _, support in group))
+        digits = [u for u in lead if u in reads]
+        room = _TAIL_DIGITS - len(reads.intersection(slab))
+        held = digits[max(len(digits) - room, 0):] if k else []
+        fixed = lead.index(digits[-len(held) - 1]) if len(digits) > len(held) else -1
+        width = len(free) - free.index(held[0]) if held else _TAIL_DIGITS
+        moves = []
+        for i, stride, support in group:
+            columns = _local_columns(graph, strides, support, width)[1]
+            columns = shared.setdefault(frozenset(columns), columns)  # same axes, same columns
+            moves.append((i, stride, columns))
+        table = view = None
+        if held:
+            table = np.empty([3 if u in reads else 1 for u in free[-width:]], dtype)
+            view = table.reshape((3,) * len(held) + table.shape[width - _TAIL_DIGITS:])
+        layers.append((k, fixed, moves, table, view, held))
+    shape = (3,) * (len(free) - len(lead))
     sums = [np.asarray((size - 1) // 2, dtype)] + [np.empty(shape, dtype) for _ in layers]
     for scalars in _local_columns(graph, strides, lead)[0]:
-        changed = max((k for k, u in enumerate(lead) if scalars[u] != -1), default=0)
-        for j, (k, group) in enumerate(layers):
-            if k >= changed:
-                _add_moves(graph, sums[j + 1], sums[j], group, scalars)
+        changed = max((k for k, u in enumerate(lead) if scalars[u] != -1), default=-1)
+        for j, (k, fixed, moves, table, view, held) in enumerate(layers):
+            if k < changed:
+                continue
+            if table is None:
+                _add_moves(graph, sums[j + 1], sums[j], moves, scalars)
+                continue
+            if fixed >= changed:
+                _add_moves(graph, table, 0, moves, scalars)
+            # from a list, so that the index tuple is allocated at its size
+            np.add(sums[j], view[tuple([scalars[u] + 1 for u in held])], out=sums[j + 1])
         yield sums[-1].reshape(-1)
 
 
@@ -142,7 +172,7 @@ def _compact_map(graph, strides):
     size = 3 ** len(strides)
     image = np.zeros(size, dtype=bool)
     for slab in _successor_slabs(graph, strides):
-        image[slab] = True
+        image[slab.astype(np.intp)] = True  # numpy stores faster at native indices
     live = np.flatnonzero(image).astype(_code_dtype(size))
     del image
     pos = np.empty_like(live)
@@ -247,22 +277,28 @@ def _transition_text(graph, strides, blocks, dot):
     """The text of `transition_lines`, a slab of successor `blocks` at a time.
 
     The labels split at the slab's digit, so a slab's own labels are one
-    head before each of the tails; a slab's lines are one join over the
-    rows of a (slab, 6) object array whose separator columns are filled once.
+    head before each of the tails; its lines are joined 3^7 at a time, each
+    batch one join over the rows of a (3^7, 6) object array whose separator
+    columns are filled once, so that no text or row array spans a slab.
     """
     quote, indent, end = ('"', "  ", ";\n") if dot else ("", "", "\n")
     heads, tails = _labels(graph, strides, _TAIL_DIGITS, quote + "(", ",", ")" + quote)
-    width = len(tails)
+    width, batch = len(tails), min(len(tails), 3 ** 7)
     if dot:
         yield "digraph state_transitions {\n"
         for head in heads:
             pre = indent + head
-            yield pre + (end + pre).join(tails) + end
-    rows = np.empty((width, 6), dtype=object)
-    rows[:, 1], rows[:, 2], rows[:, 5] = tails, " -> ", end
+            for lo in range(0, width, batch):
+                yield pre + (end + pre).join(tails[lo:lo + batch]) + end
+    rows = np.empty((batch, 6), dtype=object)
+    rows[:, 2], rows[:, 5] = " -> ", end
     for head, block in zip(heads, blocks):
-        rows[:, 0], rows[:, 3], rows[:, 4] = indent + head, heads[block // width], tails[block % width]
-        yield "".join(rows.ravel().tolist())
+        rows[:, 0] = indent + head
+        for lo in range(0, width, batch):
+            codes = block[lo:lo + batch]
+            rows[:, 1], rows[:, 3] = tails[lo:lo + batch], heads[codes // width]
+            rows[:, 4] = tails[codes % width]
+            yield "".join(rows.ravel().tolist())
     if dot:
         yield "}\n"
 

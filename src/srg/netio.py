@@ -187,11 +187,12 @@ def _graph_dot(graph):
 def transition_lines(sts: TransitionSystem, dot: bool):
     """One "state -> successor" line per state in canonical order, or DOT.
 
-    Yielded a block of 3^9 states at a time, one per successor block of
-    `sts`, so neither the text nor the successor codes are ever in memory
-    at once.  Each block is joined in bulk from two label tables, heads
-    over the leading vertices and tails over the trailing ones: code c is
-    heads[c // width] + tails[c % width] (`_kernel._transition_text`).
+    Stepped a successor block of 3^9 states of `sts` at a time and
+    yielded 3^7 lines at a time, so neither the text nor the successor
+    codes are ever in memory at once.  Each batch is joined in bulk from
+    two label tables, heads over the leading vertices and tails over the
+    trailing ones: code c is heads[c // width] + tails[c % width]
+    (`_kernel._transition_text`).
     """
     from ._kernel import _transition_text
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import argparse
+import atexit
 import contextlib
 import gc
 import json
@@ -639,9 +640,14 @@ def test_every_exit_freezes_the_collector_and_changes_no_output(
     proc = run_python("-c", _FREEZE_PROBE, str(frozen), *argv)
     assert int(frozen.read_text()) > 0
     # The same call here with the freeze taken out: the freeze moves no byte.
-    monkeypatch.setattr(gc, "freeze", lambda: None)
+    # The handlers are patched too, so that this process keeps no stale one.
+    freeze, registered = (lambda: None), []
+    monkeypatch.setattr(gc, "freeze", freeze)
+    monkeypatch.setattr(atexit, "register", registered.append)
+    monkeypatch.setattr(atexit, "unregister", lambda func: None)
     assert (proc.returncode, proc.stdout, proc.stderr) == _call_in_process(capsys, argv)
     assert proc.returncode == code
+    assert registered.count(freeze) == 1
 
 
 @EVERY_EXIT

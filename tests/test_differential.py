@@ -33,7 +33,8 @@ from srg import (
     simulate,
     step,
 )
-from srg._kernel import _peel
+from srg._kernel import _BLOCK_STATES, _peel
+from srg.dynamics import _free_strides
 
 from helpers import (
     clamp_consistent_states,
@@ -121,6 +122,34 @@ def hub_graph():
 
 def test_factored_kernel_slices_a_hub_past_int16_strides():
     assert_successors_match_step(hub_graph())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    free=st.integers(10, 12), density=st.floats(0.1, 1.0),
+    clamp_chance=st.sampled_from((0.0, 0.3)), seed=st.integers(0, 2 ** 32),
+)
+# layer tables that hold one or two leading digits, some with an earlier digit as a scalar
+@example(free=12, density=0.3, clamp_chance=0.0, seed=2)
+@example(free=12, density=0.3, clamp_chance=0.3, seed=1)
+def test_layer_tables_match_scalar_step(free, density, clamp_chance, seed):
+    """10-12 free vertices give slabs one to three leading digits, so a
+    layer past the first sums a table that holds its leading digits, holds
+    the earlier ones as scalars, or cannot hold its last one.  The scalar
+    `step` checks a few codes of every slab; at clamp chance 0.3, 4 or 5 of
+    the graph's 14-17 vertices are clamped."""
+    clamps = round(free * clamp_chance / (1 - clamp_chance))
+    graph = clamped_random_graph(free, clamps, density, seed)
+    succ = successor_codes(graph)
+    strides = _free_strides(graph, len(succ))
+    rng = random.Random(seed)
+    for lo in range(0, len(succ), _BLOCK_STATES):
+        for code in rng.sample(range(lo, lo + _BLOCK_STATES), 4):
+            state = [graph.clamps.get(i, 0) for i in range(graph.n)]
+            for i, stride in strides:
+                state[i] = code // stride % 3 - 1
+            values = step(graph, state)
+            assert int(succ[code]) == sum((values[i] + 1) * stride for i, stride in strides)
 
 
 @st.composite

@@ -43,6 +43,11 @@ MUTANTS = {
     "down-without-self": ("_kernel", "_moves", "((inh == 1) | (cur == -1))", "(inh == 1)"),
     # a move summed in the layer of the first leading digit it reads
     "layer-min": ("_kernel", "_successor_slabs", "last = max(", "last = min("),
+    # a layer table summed once, not again when a leading digit it holds as a scalar changes
+    "table-stale": ("_kernel", "_successor_slabs", "if fixed >= changed:", "if changed < 0:"),
+    # a layer table read one leading digit off
+    "table-digit": ("_kernel", "_successor_slabs", "scalars[u] + 1 for u in held",
+                    "scalars[u] - 1 for u in held"),
     # a blocking regulator's on bit read where the rule needs its off bit
     "bit-literal": ("boolenc", "encode_network", "bits[u][1] for u in block",
                     "bits[u][0] for u in block"),
@@ -135,8 +140,10 @@ def failures(cases, tmp_path):
                 code = main([*argv[0].split(), str(path), *argv[1:]])
             if (code, out.getvalue()) != expected:
                 failed.add(" ".join(argv))
-    # hub(11): two leading digits, and the middle vertex reads both
-    if not slab_sample(hub(11)):
+    # hub(11): two leading digits, and the middle vertex reads both; the
+    # 3^12 graph: two layer tables, each over its last leading digit, the
+    # later one with the second digit as a scalar
+    if not all(map(slab_sample, (hub(11), random_graph(random.Random(2), n=12, density=0.3)))):
         failed.add("slabs")
     return failed
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import random
 import tracemalloc
 
@@ -248,6 +249,21 @@ class TestDotExport:
             tracemalloc.stop()
         assert blocks[1].startswith('  "(-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1)";\n')
         assert peak < 8 * 2**20
+
+    def test_sts_dot_is_joined_in_batches_under_a_slab(self):
+        """Writing the DOT of a sparse 3^11 graph holds the label tables and
+        3^7 lines at a time, 2.1 MiB; joins of a whole 3^9-line slab peaked
+        at 6.0 MiB."""
+        sts = build_sts(random_graph(random.Random(7), n=11, density=0.03))
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                for text in transition_lines(sts, dot=True):
+                    sink.write(text)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
     def test_deterministic(self, mapk):
         assert export_dot(mapk) == export_dot(load_example("mapk"))
