@@ -1,4 +1,5 @@
-"""Command-line front end: batch analyses over network files.
+"""Command-line front end: batch analyses over network files. Every `--json`
+report, streamed or not, goes through one writer, `_write_report`.
 
 Exit codes: 0 success (or admissible / non-empty result), 1 inadmissible
 or empty result, 2 usage or parse error, 3 state-space limit refusal or
@@ -59,11 +60,16 @@ def _load_network(source: str):
     raise ParseError(f"no such network file or bundled example: {source!r}")
 
 
-def _splice(report, array):
-    """The text of `render_report(report)` with the chunks of `array` written
-    in place of the empty placeholder `[]` of its last key."""
-    head, _, tail = render_report(report).rpartition("[]")
-    return itertools.chain([head], array, [tail])
+def _write_report(command, graph, result, code=EXIT_OK, chunks=None):
+    """Write the `--json` report of `result` and return `code`; given `chunks`,
+    write them in place of the empty placeholder `[]` of its last key."""
+    text = render_report(analysis_report(command, graph, result))
+    if chunks is None:
+        sys.stdout.write(text)
+    else:
+        head, _, tail = text.rpartition("[]")
+        sys.stdout.writelines(itertools.chain([head], chunks, [tail]))
+    return code
 
 
 def _state_array(states):
@@ -90,11 +96,10 @@ def _cmd_step(graph, args):
     steps = itertools.accumulate(range(args.steps), lambda s, _: step(graph, s), initial=state)
     states = itertools.islice(steps, 1, None)
     if args.json:
-        report = analysis_report("step", graph, {"start": state_json(state), "states": []})
-        sys.stdout.writelines(_splice(report, _state_array(states)))
-    else:
-        for s in states:
-            print(format_state(s))
+        result = {"start": state_json(state), "states": []}
+        return _write_report("step", graph, result, chunks=_state_array(states))
+    for s in states:
+        print(format_state(s))
     return EXIT_OK
 
 
@@ -104,35 +109,33 @@ def _cmd_simulate(graph, args):
     state = parse_state(args.state, graph)
     trajectory = simulate(graph, state, max_steps=args.max_steps)
     if args.json:
-        report = analysis_report("simulate", graph, trajectory_json(trajectory))
-        sys.stdout.write(render_report(report))
-        return EXIT_OK
+        return _write_report("simulate", graph, trajectory_json(trajectory))
     _print_states("transient:", trajectory.transient)
     _print_states(f"cycle (period {trajectory.period}):", trajectory.cycle)
     return EXIT_OK
 
 
-def _write_cycles(header, report, walk, as_json):
-    """Write `header` and the blocks of a `dynamics._cycle_codes` walk, or `report`
-    with them as its last key's array; no cycles keep its `[]` and exit 1."""
-    text = []
+def _write_cycles(header, command, graph, result, walk, as_json):
+    """Write `header` and the blocks of a `dynamics._cycle_codes` walk, or the report
+    of `result` with them as its last key's array; no cycles keep its `[]`, exit 1."""
+    code, text = EXIT_EMPTY, None
     if len(walk[-1]):
         from ._kernel import _cycle_text  # only past the refusals: it loads numpy
-        text = _cycle_text(*walk, as_json)
+        code, text = EXIT_OK, _cycle_text(*walk, as_json)
     if as_json:
-        text = _splice(report, text or ["[]"])
-    else:
-        print(header)
-    sys.stdout.writelines(text)
-    return EXIT_OK if len(walk[-1]) else EXIT_EMPTY
+        return _write_report(command, graph, result, code, text)
+    print(header)
+    sys.stdout.writelines(text or ())
+    return code
 
 
 def _cmd_attractors(graph, args):
     from .dynamics import _cycle_codes
 
     walk = _cycle_codes(graph, state_limit=args.limit)
-    report = analysis_report("attractors", graph, {"count": len(walk[-1]), "attractors": []})
-    return _write_cycles(f"{len(walk[-1])} attractors", report, walk, args.json)
+    result = {"count": len(walk[-1]), "attractors": []}
+    return _write_cycles(f"{len(walk[-1])} attractors", "attractors", graph, result, walk,
+                         args.json)
 
 
 def _cmd_sts(graph, args):
@@ -161,13 +164,12 @@ def _cmd_phenotype_check(graph, args):
     if args.mode == "oracle":
         walk = _cycle_codes(graph, args.limit, phenotype.assignment)
         result = {"mode": "oracle", "admissible": len(walk[-1]) > 0, "attractors": []}
-        report = analysis_report("phenotype-check", graph, result)
-        return _write_cycles(f"{len(walk[-1])} matching attractors", report, walk, args.json)
+        return _write_cycles(f"{len(walk[-1])} matching attractors", "phenotype-check", graph,
+                             result, walk, args.json)
     decision = decide_phenotype(graph, phenotype, mode=args.mode)
+    code = EXIT_OK if decision.admissible else EXIT_EMPTY
     if args.json:
-        report = analysis_report("phenotype-check", graph, decision_json(decision))
-        sys.stdout.write(render_report(report))
-        return EXIT_OK if decision.admissible else EXIT_EMPTY
+        return _write_report("phenotype-check", graph, decision_json(decision), code)
     print("admissible" if decision.admissible else "inadmissible")
     for v in decision.violations:
         path = " -> ".join(v.activation_path)
@@ -176,7 +178,7 @@ def _cmd_phenotype_check(graph, args):
             print(f"  rule ({v.rule}): active {v.source}: {path} then {x} -| {tgt} (active)")
         else:
             print(f"  rule ({v.rule}): active {v.source}: {path} reaches inactive {v.target}")
-    return EXIT_OK if decision.admissible else EXIT_EMPTY
+    return code
 
 
 def _cmd_phenotype_witness(graph, args):
@@ -184,19 +186,18 @@ def _cmd_phenotype_witness(graph, args):
 
     phenotype = parse_phenotype(args.target)
     witness = phenotype_witness(graph, phenotype, completion=_COMPLETIONS[args.completion])
+    code = EXIT_OK if witness.admissible else EXIT_EMPTY
     if args.json:
-        report = analysis_report("phenotype-witness", graph, witness_json(witness))
-        sys.stdout.write(render_report(report))
-        return EXIT_OK if witness.admissible else EXIT_EMPTY
+        return _write_report("phenotype-witness", graph, witness_json(witness), code)
     if not witness.admissible:
         print(f"inadmissible: marking conflict at {witness.marking.conflict}")
-        return EXIT_EMPTY
+        return code
     marked = ", ".join(f"{k}={v}" for k, v in witness.marking.marked.items())
     print(f"marking: {marked if marked else '(none)'}")
     print(f"start: {format_state(witness.start)}")
     attractor = witness.attractor
     _print_states(f"witness attractor (period {attractor.period}):", attractor.states)
-    return EXIT_OK
+    return code
 
 
 def _cmd_encode_bn(graph, args):
@@ -217,19 +218,18 @@ def _cmd_verify_bn(graph, args):
     report = check_simulation_equivalence(
         graph, samples=args.samples, state_limit=args.limit, seed=args.seed
     )
+    code = EXIT_OK if report.ok else EXIT_EMPTY
     if args.json:
-        envelope = analysis_report("verify-bn", graph, equivalence_json(report))
-        sys.stdout.write(render_report(envelope))
-        return EXIT_OK if report.ok else EXIT_EMPTY
+        return _write_report("verify-bn", graph, equivalence_json(report), code)
     if report.ok:
         print(f"ok: {report.states_checked} states agree, no invalid codes")
-        return EXIT_OK
+        return code
     state, expected, got = report.counterexample
     print(f"mismatch after {report.states_checked} states")
     print(f"  state:    {format_state(state)}")
     print(f"  expected: {format_state(expected)}")
     print(f"  bits:     {''.join(str(b) for b in got)}")
-    return EXIT_EMPTY
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,11 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def network_arg(p):
+    def command(parent, name, handler, help):
+        p = parent.add_parser(name, help=help)
         p.add_argument(
             "network",
             help=f"network file path, or one of the bundled examples {', '.join(EXAMPLE_NETWORKS)}",
         )
+        p.set_defaults(func=handler)
+        return p
 
     def json_flag(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -254,77 +257,62 @@ def build_parser() -> argparse.ArgumentParser:
             help="refuse state spaces larger than this many states" + note,
         )
 
-    p = sub.add_parser("step", help="apply the synchronous update to a state")
-    network_arg(p)
+    p = command(sub, "step", _cmd_step, "apply the synchronous update to a state")
     p.add_argument("state", help='state literal, "(-1,1,1)" or "A=-1,B=1,C=1"')
     p.add_argument("-n", "--steps", type=int, default=1, help="number of steps")
     json_flag(p)
-    p.set_defaults(func=_cmd_step)
 
-    p = sub.add_parser("simulate", help="run until the trajectory cycles")
-    network_arg(p)
+    p = command(sub, "simulate", _cmd_simulate, "run until the trajectory cycles")
     p.add_argument("state", help='start state literal, "(-1,1,1)" or "A=-1,B=1,C=1"')
     p.add_argument("--max-steps", type=int, default=None,
                    help="fail if no state repeats within this many steps (default 3^n)")
     json_flag(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("attractors", help="enumerate every attractor exhaustively")
-    network_arg(p)
+    p = command(sub, "attractors", _cmd_attractors, "enumerate every attractor exhaustively")
     limit_flag(p)
     json_flag(p)
-    p.set_defaults(func=_cmd_attractors)
 
-    p = sub.add_parser("sts", help="dump the full state-transition system")
-    network_arg(p)
+    p = command(sub, "sts", _cmd_sts, "dump the full state-transition system")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of arrow lines")
     limit_flag(p)
-    p.set_defaults(func=_cmd_sts)
 
-    p = sub.add_parser("graph", help="dump the regulatory graph")
-    network_arg(p)
+    p = command(sub, "graph", _cmd_graph, "dump the regulatory graph")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
-    p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("phenotype", help="phenotype admissibility analyses")
     psub = p.add_subparsers(dest="subcommand", required=True)
 
-    pc = psub.add_parser("check", help="decide whether a matching attractor can exist")
-    network_arg(pc)
-    pc.add_argument("--target", required=True, help='phenotype, e.g. "FOXO3=-1,AKT=1"')
-    pc.add_argument(
+    p = command(psub, "check", _cmd_phenotype_check,
+                "decide whether a matching attractor can exist")
+    p.add_argument("--target", required=True, help='phenotype, e.g. "FOXO3=-1,AKT=1"')
+    p.add_argument(
         "--mode", choices=("paths", "literal", "oracle"), default="paths",
         help="paths: authoritative wiring test; literal: diagnostic weaker test; "
         "oracle: exhaustive enumeration",
     )
-    limit_flag(pc, "; --mode paths or literal ignores it")
-    json_flag(pc)
-    pc.set_defaults(func=_cmd_phenotype_check)
+    limit_flag(p, "; --mode paths or literal ignores it")
+    json_flag(p)
 
-    pw = psub.add_parser("witness", help="construct an attractor carrying the phenotype")
-    network_arg(pw)
-    pw.add_argument("--target", required=True)
-    pw.add_argument(
+    p = command(psub, "witness", _cmd_phenotype_witness,
+                "construct an attractor carrying the phenotype")
+    p.add_argument("--target", required=True)
+    p.add_argument(
         "--completion", choices=tuple(_COMPLETIONS), default="minus",
         help="value given to vertices the marking leaves free",
     )
-    json_flag(pw)
-    pw.set_defaults(func=_cmd_phenotype_witness)
+    json_flag(p)
 
-    p = sub.add_parser("encode-bn", help="export the two-bit Boolean network")
-    network_arg(p)
+    p = command(sub, "encode-bn", _cmd_encode_bn, "export the two-bit Boolean network")
     p.add_argument("-o", "--output", help="write the rule file here instead of stdout")
-    p.set_defaults(func=_cmd_encode_bn)
 
-    p = sub.add_parser("verify-bn", help="check the Boolean encoding against the ternary step")
-    network_arg(p)
+    p = command(sub, "verify-bn", _cmd_verify_bn,
+                "check the Boolean encoding against the ternary step")
     p.add_argument("--samples", type=int, default=None,
                    help="check this many random states instead of every clamp-consistent one")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --samples draws; the exhaustive check ignores it")
     limit_flag(p, "; --samples ignores it")
     json_flag(p)
-    p.set_defaults(func=_cmd_verify_bn)
 
     return parser
 

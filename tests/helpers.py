@@ -153,9 +153,9 @@ def kernel_corpus():
 
 def edge_case_graphs():
     """Graphs with no free vertex, one vertex, only clamped regulators, more
-    vertices than numpy allows axes, or 10 free vertices: three slabs of
-    3^9 codes, with clamps, a vertex that reads all ten, a long transient,
-    or period-2 cycles."""
+    vertices than numpy allows axes, period-3 cycles, or 10 free vertices:
+    three slabs of 3^9 codes, with clamps, a vertex that reads all ten, a
+    long transient, or period-2 cycles."""
     graphs = [
         RegulatoryGraph(["A", "B"], [("A", "B")], [("B", "A")], {"A": 1, "B": -1}),
         RegulatoryGraph(["X"], [("X", "X")]),
@@ -169,10 +169,24 @@ def edge_case_graphs():
                 ["A", "B", "C", "D"], [("A", "C"), ("C", "D")], [("B", "C"), ("D", "D")],
                 {"A": a, "B": b},
             ))
-    graphs.append(many_clamped_chain())
+    graphs += [many_clamped_chain(), period_three()]
     clamped = random_graph(random.Random(21), n=12, density=0.2)
     graphs += [clamped.with_clamps({"v0": -1, "v11": 1}), hub(10), chain(10), oscillators(5)]
     return graphs
+
+
+def period_three():
+    """The smallest graph found with cycles longer than 2, mostly inhibitions:
+    two period-3 attractors, the first (-1,-1,-1,-1,1,0) -> (-1,0,-1,0,1,-1)
+    -> (-1,-1,0,-1,1,-1).  Read backwards from its least state, a cycle of
+    period 1 or 2 is the same list, and one of period 3 is not."""
+    names = [f"v{i}" for i in range(6)]
+    return RegulatoryGraph(
+        names,
+        [("v2", "v5"), ("v3", "v2"), ("v5", "v1"), ("v5", "v3")],
+        [("v0", "v2"), ("v0", "v4"), ("v4", "v1"), ("v4", "v2"), ("v4", "v3"), ("v4", "v5"),
+         ("v5", "v2")],
+    )
 
 
 def chain(n):
@@ -216,7 +230,7 @@ def scalar_walk(graph):
 @functools.cache
 def scalar_successor_table():
     """`(graph, *scalar_walk(graph))` for each graph of `kernel_corpus() +
-    edge_case_graphs()`: 261,186 states, stepped once for every kernel test
+    edge_case_graphs()`: 261,915 states, stepped once for every kernel test
     that checks them all."""
     return [(graph, *scalar_walk(graph)) for graph in kernel_corpus() + edge_case_graphs()]
 

@@ -15,14 +15,15 @@ import tracemalloc
 import pytest
 
 from srg import (
-    RegulatoryGraph, enumerate_attractors, load_example, parse_network, parse_state,
-    serialize_network, step,
+    RegulatoryGraph, check_simulation_equivalence, decide_phenotype, enumerate_attractors,
+    load_example, parse_network, parse_phenotype, parse_state, serialize_network, step,
 )
 from srg.cli import build_parser, main
-from srg.netio import analysis_report, attractor_json, render_report, state_json
+from srg.netio import analysis_report, attractor_json, decision_json, render_report, state_json
 
 from helpers import (
     SRG_SRC,
+    period_three,
     random_graph,
     reference_attractors,
     reference_sts,
@@ -177,6 +178,19 @@ class TestAttractors:
         code, _, err = run(capsys, "attractors", "mapk", "--limit", "10")
         assert code == 3
         assert "exceeds the limit" in err
+
+    def test_period_three_cycles_in_successor_order(self, capsys, tmp_path):
+        # Read backwards from its least state, a cycle of period 1 or 2 is the
+        # same list; these two are not.
+        path = tmp_path / "period3.srg"
+        path.write_text(serialize_network(period_three()))
+        code, out, _ = run(capsys, "attractors", str(path))
+        assert code == 0
+        assert out.startswith("34 attractors\n")
+        assert ("attractor 4 (period 3):\n"
+                "  (-1,-1,-1,-1,1,0)\n  (-1,0,-1,0,1,-1)\n  (-1,-1,0,-1,1,-1)\n"
+                "attractor 5 (period 3):\n"
+                "  (-1,-1,0,-1,1,0)\n  (-1,0,-1,0,1,0)\n  (-1,0,0,0,1,-1)\n") in out
 
     def test_json_report_is_streamed(self, capsys, tmp_path):
         # Every state of the self-activation map is a fixed point: 3^8
@@ -399,6 +413,22 @@ class TestPhenotypeCommands:
         oracle = run(capsys, "phenotype", "check", "mapk", "--target", target, "--mode", "oracle")
         assert oracle[0] == code
 
+    @pytest.mark.parametrize("mode", ["paths", "literal"])
+    @pytest.mark.parametrize("target, edges", [
+        ("FOXO3=1,AKT=1", [["AKT", "FOXO3"]]),
+        ("RTK=1", [None]),
+        ("AKT=1", []),
+    ], ids=["inhibition-edge", "no-edge", "admissible"])
+    def test_decision_json(self, capsys, mode, target, edges):
+        graph = load_example("mapk")
+        result = decision_json(decide_phenotype(graph, parse_phenotype(target), mode))
+        expected = render_report(analysis_report("phenotype-check", graph, result))
+        argv = ["phenotype", "check", "mapk", "--target", target, "--mode", mode, "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0 if result["admissible"] else 1, expected)
+        violations = json.loads(out)["result"]["violations"]
+        assert [v["inhibition_edge"] for v in violations] == edges
+
     def test_paths_mode(self, capsys, unclamped_mapk_file):
         code, out, _ = run(
             capsys, "phenotype", "check", unclamped_mapk_file,
@@ -491,6 +521,46 @@ class TestBooleanCommands:
         report = json.loads(out)
         assert report["result"]["ok"] is True
         assert report["result"]["states_checked"] == 27
+
+    @pytest.mark.parametrize("samples", [None, 20])
+    def test_verify_mismatch(self, capsys, monkeypatch, samples):
+        """An encoding whose blocking regulators are read from their on bits,
+        the `bit-literal` mutant's fault: both outputs report the counterexample
+        of `check_simulation_equivalence` and exit 1."""
+        from srg.boolenc import encode_network
+
+        def tampered(graph):
+            network = encode_network(graph)
+            return network._replace(rules=tuple(
+                rule._replace(and_terms=tuple(t.replace("_off", "_on") for t in rule.and_terms))
+                for rule in network.rules
+            ))
+
+        monkeypatch.setattr("srg.boolenc.encode_network", tampered)
+        graph = load_example("mapk")
+        report = check_simulation_equivalence(graph, samples=samples, seed=1)
+        assert not report.ok
+        state, expected, got = report.counterexample
+        argv = ["verify-bn", "mapk"]
+        if samples:
+            argv += ["--samples", str(samples), "--seed", "1"]
+        assert run(capsys, *argv) == (1, (
+            f"mismatch after {report.states_checked} states\n"
+            f"  state:    {state!r}\n"
+            f"  expected: {expected!r}\n"
+            f"  bits:     {''.join(map(str, got))}\n"
+        ), "")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out)["result"] == {
+            "ok": False,
+            "states_checked": report.states_checked,
+            "invalid_codes": report.invalid_codes,
+            "counterexample": {
+                "state": list(state), "expected_successor": list(expected),
+                "produced_bits": list(got),
+            },
+        }
 
 
 class TestErrorPaths:

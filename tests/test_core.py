@@ -285,6 +285,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="vertex name"):
             RegulatoryGraph([name, "c"], [(name, "c")])
 
+    @pytest.mark.parametrize("edge", [("A", "B", "A"), ("A",), 5])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        with pytest.raises(ValueError, match="pairs"):
+            RegulatoryGraph(["A", "B"], [edge])
+
     def test_empty_vertex_set_rejected(self):
         with pytest.raises(ValueError):
             RegulatoryGraph([])

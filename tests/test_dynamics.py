@@ -440,6 +440,8 @@ class TestTrapSets:
 
     def test_attractor_checks(self, fig1a, fig1b):
         assert is_attractor(fig1a, [(0, 1, 1)])
+        # the step leaves it
+        assert not is_attractor(fig1b, [(-1, 1, 1)])
         # closed, but contains a smaller trap set
         assert is_trap_set(fig1b, [(0, 1, 1), (-1, 1, 1)])
         assert not is_attractor(fig1b, [(0, 1, 1), (-1, 1, 1)])

@@ -4,9 +4,9 @@ A mutant is one textual change to the source of one library function,
 compiled beside the original and monkeypatched over it.  Every change must
 match its source exactly once, so a mutant that no longer applies fails
 here instead of passing unseen.  The check compares, on a fixed corpus,
-the kernel's successor codes, the Boolean cross-check and the output of
-`attractors`, `sts` and the phenotype oracle with references built from the
-scalar `step`.
+the kernel's successor codes, the Boolean cross-check, the library's
+attractors and the output of `attractors`, `sts` and the phenotype oracle
+with references built from the scalar `step`.
 """
 
 import __future__
@@ -18,7 +18,9 @@ import random
 
 import pytest
 
-from srg import build_sts, check_simulation_equivalence, serialize_network, step
+from srg import (
+    build_sts, check_simulation_equivalence, enumerate_attractors, serialize_network, step,
+)
 from srg.cli import main
 
 from helpers import (
@@ -26,11 +28,13 @@ from helpers import (
     edge_case_graphs,
     hub,
     oscillators,
+    period_three,
     random_graph,
     reference_attractors,
     reference_sts,
     scalar_walk,
     successor_codes,
+    table_attractors,
 )
 
 # id -> (module, function, source text, replacement)
@@ -63,6 +67,9 @@ MUTANTS = {
     "pin-over-clamp": ("dynamics", "_cycle_codes",
                        "    if any(pinned.clamps[i] != v for i, v in graph.clamps.items()):\n"
                        "        return graph, [], [], []\n", ""),
+    # every cycle listed backwards from its least state: periods 1 and 2 read the same
+    "cycle-backwards": ("dynamics", "_attractors", "Attractor(tuple(states[a:b]))",
+                        "Attractor.from_cycle(states[a:b][::-1])"),
 }
 
 
@@ -80,14 +87,14 @@ def mutant(module, name, old, new):
 
 def corpus():
     """Small random graphs, with and without clamps, a fully clamped graph,
-    two coupled oscillators (period-2 cycles), and a 3^10 chain whose `sts`
-    labels have three heads; each with its scalar successor codes and the
-    exit codes and outputs rendered from its scalar walk, keyed by command
+    two coupled oscillators (period-2 cycles), the period-3 graph, and a
+    3^10 chain whose `sts` labels have three heads; each with its scalar
+    walk and the exit codes and outputs rendered from it, keyed by command
     line, the oracle's with a random target on one or two vertices."""
     rng = random.Random(61)
     graphs = [random_graph(rng, n=rng.randint(3, 6), density=0.35, clamp_chance=chance)
               for chance in (0.0, 0.3) for _ in range(6)]
-    graphs += [edge_case_graphs()[0], oscillators(2), chain(10)]
+    graphs += [edge_case_graphs()[0], oscillators(2), period_three(), chain(10)]
     cases = []
     for graph in graphs:
         states, successors = scalar_walk(graph)
@@ -105,7 +112,7 @@ def corpus():
                     graph, states, successors, as_json=bool(flag)))
                 outputs[(*oracle, *flag)] = (code, reference_attractors(
                     graph, states, successors, bool(flag), target))
-        cases.append((graph, successors, outputs))
+        cases.append((graph, states, successors, outputs))
     return cases
 
 
@@ -128,9 +135,11 @@ def failures(cases, tmp_path):
     """The checks that disagree with the scalar step, by name."""
     failed = set()
     path = tmp_path / "graph.srg"
-    for graph, successors, outputs in cases:
+    for graph, states, successors, outputs in cases:
         if successor_codes(graph).tolist() != successors:
             failed.add("successors")
+        if enumerate_attractors(graph) != table_attractors(states, successors):
+            failed.add("attractors")
         if not check_simulation_equivalence(graph).ok:
             failed.add("cross-check")
         path.write_text(serialize_network(graph))
