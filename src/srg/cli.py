@@ -53,7 +53,7 @@ _COMPLETIONS = {"minus": -1, "zero": 0, "plus": 1}
 
 def _load_network(source: str):
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as handle:
+        with open(source, encoding="utf-8-sig") as handle:
             return parse_network(handle.read())
     if source in EXAMPLE_NETWORKS:
         return load_example(source)

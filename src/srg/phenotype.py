@@ -92,11 +92,6 @@ class Witness(NamedTuple):
     attractor: Attractor | None = None
 
 
-def _resolve_targets(graph, phenotype):
-    resolved = {graph.index_of(name): value for name, value in phenotype.items()}
-    return dict(sorted(resolved.items()))
-
-
 def activation_reachable(graph: RegulatoryGraph, sources, direction="forward"):
     """Vertices connected to `sources` by activation-only paths (length >= 0).
 
@@ -145,7 +140,7 @@ def _reduce_clamps(graph, phenotype):
     """G' (`graph` less its clamps and every edge into a clamped vertex), the
     targets merged with the clamps, and the first target clamped the other
     way or None.  G's attractors are those of G' that hold the clamps."""
-    required = _resolve_targets(graph, phenotype)
+    required = dict(sorted((graph.index_of(name), value) for name, value in phenotype.items()))
     conflict = next((i for i, v in required.items() if graph.clamps.get(i, v) != v), None)
     edges = [[(u, v) for u, v in sorted(signed) if v not in graph.clamps]
              for signed in (graph.activation_edges, graph.inhibition_edges)]
@@ -164,9 +159,11 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
     literal mode (diagnostic): the weaker reading that inspects only
     regulators that are themselves targets; rule a rejects an active target
     directly inhibited by an active target, rule b an inactive target with
-    an active target among its activation ancestors.  Admissibility in
-    paths mode implies admissibility here, not conversely; divergences are
-    logged.
+    an active target among its activation ancestors.  Both are read off the
+    paths search: literal a is each paths b whose nearest inhibitor is its
+    source, by target then source; literal b is paths a.  Every literal
+    violation is thus a relabelled paths one, so paths admissibility implies
+    literal admissibility, not conversely; divergences are logged.
 
     On a clamped graph both modes decide the targets merged with the clamps,
     with the clamps reduced away.  A target v clamped the other way adds a
@@ -179,47 +176,38 @@ def decide_phenotype(graph: RegulatoryGraph, phenotype: Phenotype, mode=MODE_PAT
     inactive = [i for i, v in required.items() if v == -1]
     names = graph.vertices
     violations = []
-
-    if mode == MODE_LITERAL:
-        for v in active:
-            for u in reduced.inhibition_in[v]:
-                if required.get(u) == 1:
-                    violations.append(
-                        Violation("a", names[u], names[v], (names[u],), (names[u], names[v]))
-                    )
-
-    reach_rule = "a" if mode == MODE_PATHS else "b"
+    loops = []  # (v, u) for each active u that inhibits an active v directly
     for u in active:
         dist, parent = _bfs(reduced.activation_out, [u])
         for v in inactive:
             if v in dist:
                 path = tuple(names[i] for i in _bfs_path(parent, v))
-                violations.append(Violation(reach_rule, names[u], names[v], path))
-        if mode == MODE_PATHS:
-            for v in active:
-                hits = [x for x in reduced.inhibition_in[v] if x in dist]
-                if hits:
-                    x = min(hits, key=lambda k: (dist[k], k))
-                    path = tuple(names[i] for i in _bfs_path(parent, x))
-                    violations.append(
-                        Violation("b", names[u], names[v], path, (names[x], names[v]))
-                    )
+                violations.append(Violation("a", names[u], names[v], path))
+        for v in active:
+            hits = [x for x in reduced.inhibition_in[v] if x in dist]
+            if hits:
+                x = min(hits, key=lambda k: (dist[k], k))
+                path = tuple(names[i] for i in _bfs_path(parent, x))
+                violations.append(Violation("b", names[u], names[v], path, (names[x], names[v])))
+                if x == u:
+                    loops.append((v, u))
     if clamp_conflict is not None:
         name = names[clamp_conflict]
-        violations.append(Violation(reach_rule, name, name, (name,)))
+        violations.append(Violation("a", name, name, (name,)))
 
-    decision = PhenotypeDecision(
-        admissible=not violations, mode=mode, violations=tuple(violations)
-    )
-    if mode == MODE_LITERAL and decision.admissible:
-        if not decide_phenotype(graph, phenotype, MODE_PATHS).admissible:
+    if mode == MODE_LITERAL:
+        literal = [Violation("a", names[u], names[v], (names[u],), (names[u], names[v]))
+                   for v, u in sorted(loops)]
+        literal += [w._replace(rule="b") for w in violations if w.rule == "a"]
+        if violations and not literal:
             import logging  # here, not at the top: only this rare warning needs it
 
             logging.getLogger(__name__).warning(
                 "%r passes the predecessor-only check but fails the path-based one",
                 phenotype,
             )
-    return decision
+        violations = literal
+    return PhenotypeDecision(admissible=not violations, mode=mode, violations=tuple(violations))
 
 
 def phenotype_witness(graph: RegulatoryGraph, phenotype: Phenotype, completion=-1) -> Witness:

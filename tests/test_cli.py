@@ -303,6 +303,16 @@ class TestGraphAndSts:
         assert "vertices: RTK RAS PI3K MAPK PIP3 FOXO3 AKT" in out
         assert "clamp RTK = -1" in out
 
+    def test_leading_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        # Some Windows editors start a UTF-8 file with a byte-order mark.
+        text = serialize_network(load_example("mapk")).encode("utf-8")
+        plain, marked = tmp_path / "plain.srg", tmp_path / "bom.srg"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        expected = run(capsys, "graph", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "graph", str(marked)) == expected
+
     def test_sts_dot(self, capsys):
         code, out, _ = run(capsys, "sts", "fig1b", "--dot")
         assert code == 0

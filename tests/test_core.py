@@ -323,6 +323,11 @@ class TestGraphConstruction:
         clone = RegulatoryGraph(["A", "B", "C"], [("A", "B"), ("C", "A")], [("B", "A")])
         assert clone == fig1a
         assert clone != fig1a.with_clamps({"A": 1})
+        # a value that is not a graph is unequal, not an error
+        assert (fig1a == "fig1a") is False
+
+    def test_repr_counts_edges_and_clamps(self, mapk):
+        assert repr(mapk) == "RegulatoryGraph(7 vertices, 7 activating, 2 inhibiting, 1 clamped)"
 
 
 class TestTernaryState:

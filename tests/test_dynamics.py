@@ -198,6 +198,8 @@ class TestEnumerateAttractors:
         assert err.value.size == 729
         assert err.value.free_vertices == 6
         assert "729" in str(err.value)
+        with pytest.raises(ValueError, match="must be positive"):
+            enumerate_attractors(mapk, state_limit=0)
 
 
 def chain_fixed_points(graph):

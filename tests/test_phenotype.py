@@ -36,6 +36,53 @@ def divergence_graph():
     return RegulatoryGraph(["w", "u", "v"], [("w", "u")], [("u", "v")])
 
 
+def literal_reference(graph, phenotype):
+    """The predecessor-only reading from its definition, apart from the path
+    search of `decide_phenotype`: its violations in the order they are listed.
+
+    The clamps merge into the targets and drop every edge into a clamped
+    vertex.  Rule a: an active target directly inhibited by an active target,
+    by target then source.  Rule b: an inactive target with an active target
+    among its activation ancestors, by source then target, along the first
+    path a breadth-first search in index order finds.  Last, the first target
+    clamped the other way, as rule b from itself to itself along (v,).
+    """
+    names = graph.vertices
+    targets = {graph.index_of(name): value for name, value in phenotype.items()}
+    required = {**targets, **graph.clamps}
+    active = sorted(i for i, value in required.items() if value == 1)
+    inactive = sorted(i for i, value in required.items() if value == -1)
+    activation, inhibition = (
+        {(u, v) for u, v in edges if v not in graph.clamps}
+        for edges in (graph.activation_edges, graph.inhibition_edges)
+    )
+    violations = [
+        Violation("a", names[u], names[v], (names[u],), (names[u], names[v]))
+        for v in active for u in active if (u, v) in inhibition
+    ]
+    for u in active:
+        parent = {u: None}
+        queue = [u]
+        for x in queue:
+            for y in range(graph.n):
+                if (x, y) in activation and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        for v in inactive:
+            if v in parent:
+                path = [v]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                violations.append(
+                    Violation("b", names[u], names[v], tuple(names[i] for i in reversed(path)))
+                )
+    conflicts = sorted(i for i, value in targets.items() if graph.clamps.get(i, value) != value)
+    if conflicts:
+        name = names[conflicts[0]]
+        violations.append(Violation("b", name, name, (name,)))
+    return tuple(violations)
+
+
 @pytest.fixture(scope="module")
 def mapk_plain(mapk):
     return mapk.without_clamps()
@@ -322,6 +369,21 @@ class TestAgreementProperties:
                 if decide_phenotype(graph, phenotype).admissible:
                     assert decide_phenotype(graph, phenotype, mode="literal").admissible
 
+    def test_literal_decision_matches_reference(self):
+        # decide_phenotype reads the literal violations off its paths
+        # search; the reference reads them from the definition, order included.
+        rng = random.Random(4243)
+        for _ in range(500):
+            graph = random_graph(
+                rng, n=rng.randint(2, 8), density=rng.choice((0.1, 0.25, 0.4)),
+                clamp_chance=rng.choice((0.0, 0.2, 0.4)),
+            )
+            targets = rng.sample(graph.vertices, rng.randint(1, graph.n))  # any order
+            phenotype = Phenotype({name: rng.choice((-1, 1)) for name in targets})
+            decision = decide_phenotype(graph, phenotype, mode="literal")
+            assert decision.violations == literal_reference(graph, phenotype)
+            assert decision.admissible == (not decision.violations)
+
     def test_every_phenotype_of_clamped_mapk(self, mapk):
         # each vertex untargeted, -1 or 1: 3^7 phenotypes, RTK=1 among them
         for values in itertools.product((None, -1, 1), repeat=mapk.n):
@@ -344,6 +406,7 @@ class TestPhenotypeValue:
         assert phenotype.targets == ("B", "A")
         assert len(phenotype) == 2
         assert phenotype == Phenotype({"B": -1, "A": 1})
+        assert (phenotype == {"B": -1, "A": 1}) is False
         assert "A=1" in repr(phenotype)
 
     def test_non_integral_values_rejected(self):
